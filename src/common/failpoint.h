@@ -24,7 +24,7 @@ enum class FaultKind : uint8_t {
   /// Power dies mid-operation: the bytes in flight tear, and every
   /// subsequent I/O through the same registry fails until Reset.
   kPowerCut,
-  /// Network kinds (net::FaultInjectingTransport; no-ops for disk
+  /// Network kinds (net::FaultInjectingTransport; no-ops for storage
   /// sinks). kCorrupt: the bytes in flight are delivered with one byte
   /// flipped but the operation reports success — the wire analog of a
   /// torn write, detectable only by the frame CRC. kDisconnect: the
@@ -94,7 +94,7 @@ class Failpoint {
 
 /// Named failpoints plus a cross-point power-cut trigger.
 ///
-/// Storage call sites (FileDiskManager, FileWalSink, the snapshot
+/// Storage call sites (FileWalSink, FaultInjectingWalSink, the snapshot
 /// writer) evaluate named points on every physical I/O. With nothing
 /// armed, Eval is a single branch and does not count, so production use
 /// pays nothing. The power-cut mode counts *every* evaluation across
@@ -104,8 +104,8 @@ class Failpoint {
 /// Not thread-safe; the MDM serializes storage access per database.
 class FailpointRegistry {
  public:
-  /// The process-global registry consulted by the file-backed storage
-  /// classes. Tests arm it and must Reset() when done.
+  /// The process-global registry consulted by the WAL and snapshot
+  /// writers. Tests arm it and must Reset() when done.
   static FailpointRegistry* Global();
 
   void Arm(const std::string& name, Failpoint fp);

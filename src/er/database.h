@@ -526,12 +526,14 @@ class Database {
   }
 
   /// Brackets a disciplined direct-API writer (the exclusive latch is
-  /// held throughout): Begin marks a writer active so TryPinSnapshot
-  /// keeps serving the last published state instead of refusing; End
-  /// publishes and clears the mark. er::WriteGuard calls these — prefer
+  /// held throughout): Begin publishes any pending direct-API ops, then
+  /// marks a writer active so TryPinSnapshot keeps serving the last
+  /// published state instead of refusing; End publishes and clears the
+  /// mark. er::WriteGuard calls these — prefer
   /// it over calling them directly. Unlike statement groups, these do
   /// NOT change commit semantics (each journaled op still auto-commits).
   void BeginWriteScope() {
+    PublishSnapshot();
     writer_active_.store(true, std::memory_order_release);
   }
   void EndWriteScope() {
@@ -559,10 +561,12 @@ class Database {
   /// and End, journaled ops accumulate in ONE WAL transaction (opened
   /// lazily on the first op), so a statement — or a whole batch — is
   /// crash-atomic: recovery applies all of it or none of it.
-  /// EndStatementGroup writes the commit record (unsynced when a
-  /// coordinator is attached), publishes the snapshot, and returns the
-  /// commit LSN to pass to WaitDurable AFTER releasing the latch (0
-  /// when there is nothing to sync). Both require the exclusive latch.
+  /// BeginStatementGroup publishes pending direct-API ops first, like
+  /// BeginWriteScope. EndStatementGroup writes the commit record
+  /// (unsynced when a coordinator is attached), publishes the snapshot,
+  /// and returns the commit LSN to pass to WaitDurable AFTER releasing
+  /// the latch (0 when there is nothing to sync). Both require the
+  /// exclusive latch.
   void BeginStatementGroup();
   Result<uint64_t> EndStatementGroup();
   /// Blocks until the group commit covering `lsn` has fsynced (no-op

@@ -60,6 +60,7 @@ Result<quel::ResultSet> RunScript(er::Database* db,
     Result<uint64_t> lsn = 0;
     {
       std::unique_lock<std::shared_mutex> latch(db->latch());
+      quel::CountExclusiveLatch();
       db->BeginStatementGroup();
       rs = RunStatementPreLocked(db, session, script);
       lsn = db->EndStatementGroup();
@@ -80,6 +81,7 @@ Result<BatchResult> RunBatch(er::Database* db, quel::QuelSession* session,
   Result<uint64_t> lsn = 0;
   {
     std::unique_lock<std::shared_mutex> latch(db->latch());
+    quel::CountExclusiveLatch();
     db->BeginStatementGroup();
     for (const std::string& script : scripts) {
       Result<quel::ResultSet> rs =

@@ -57,7 +57,8 @@ struct LatchCounters {
     static LatchCounters c = {
         obs::Registry::Global()->GetCounter(
             "mdm_quel_exclusive_latch_total",
-            "Statements executed under the exclusive db latch"),
+            "Exclusive db latch acquisitions (write statements, batches, "
+            "DDL scripts)"),
         obs::Registry::Global()->GetCounter(
             "mdm_quel_shared_latch_total",
             "Read statements that fell back to the shared db latch"),
@@ -577,7 +578,7 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
       Result<uint64_t> commit_lsn = 0;
       {
         std::unique_lock<std::shared_mutex> write_latch(db_->latch());
-        LatchCounters::Get().exclusive->Inc();
+        CountExclusiveLatch();
         db_->BeginStatementGroup();
         run = RunStatement(stmt, pushdown, &ranges, &last);
         // On error the group still ends: the logged prefix commits
@@ -617,6 +618,8 @@ Result<ResultSet> QuelSession::Run(const std::string& script, bool pushdown,
       std::memory_order_relaxed);
   return last;
 }
+
+void CountExclusiveLatch() { LatchCounters::Get().exclusive->Inc(); }
 
 Status QuelSession::RunStatement(const Statement& stmt, bool pushdown,
                                  std::map<std::string, std::string>* ranges,

@@ -315,6 +315,12 @@ class QuelSession {
 /// Parses a QUEL script into statements (exposed for tests).
 Result<std::vector<Statement>> ParseQuel(const std::string& script);
 
+/// Counts one exclusive db-latch acquisition on
+/// mdm_quel_exclusive_latch_total. Execute counts its own write
+/// statements; callers that take the exclusive latch themselves (batches,
+/// DDL scripts) call this once per acquisition.
+void CountExclusiveLatch();
+
 }  // namespace mdm::quel
 
 #endif  // MDM_QUEL_QUEL_H_

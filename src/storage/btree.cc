@@ -68,7 +68,7 @@ void BTree::SplitChild(Node* parent, size_t child_index) {
                           std::move(right));
 }
 
-void BTree::InsertNonFull(Node* node, int64_t key, const Rid& rid) {
+void BTree::InsertNonFull(Node* node, int64_t key, uint64_t value) {
   while (!node->is_leaf) {
     size_t i = static_cast<size_t>(
         std::upper_bound(node->keys.begin(), node->keys.end(), key) -
@@ -83,17 +83,17 @@ void BTree::InsertNonFull(Node* node, int64_t key, const Rid& rid) {
     }
     node = child;
   }
-  Entry e{key, rid};
+  Entry e{key, value};
   auto pos = std::upper_bound(
       node->entries.begin(), node->entries.end(), e,
       [](const Entry& a, const Entry& b) {
         if (a.key != b.key) return a.key < b.key;
-        return a.rid < b.rid;
+        return a.value < b.value;
       });
   node->entries.insert(pos, e);
 }
 
-void BTree::Insert(int64_t key, const Rid& rid) {
+void BTree::Insert(int64_t key, uint64_t value) {
   Node* root = root_.get();
   bool full = root->is_leaf ? root->entries.size() >= max_entries_
                             : root->keys.size() >= max_entries_;
@@ -103,11 +103,11 @@ void BTree::Insert(int64_t key, const Rid& rid) {
     root_ = std::move(new_root);
     SplitChild(root_.get(), 0);
   }
-  InsertNonFull(root_.get(), key, rid);
+  InsertNonFull(root_.get(), key, value);
   ++size_;
 }
 
-bool BTree::Erase(int64_t key, const Rid& rid) {
+bool BTree::Erase(int64_t key, uint64_t value) {
   Node* leaf = FindLeaf(key);
   // Duplicates of `key` may continue into following leaves.
   while (leaf != nullptr) {
@@ -115,7 +115,7 @@ bool BTree::Erase(int64_t key, const Rid& rid) {
         leaf->entries.begin(), leaf->entries.end(), key,
         [](const Entry& e, int64_t k) { return e.key < k; });
     for (; it != leaf->entries.end() && it->key == key; ++it) {
-      if (it->rid == rid) {
+      if (it->value == value) {
         leaf->entries.erase(it);
         --size_;
         return true;
@@ -130,10 +130,10 @@ bool BTree::Erase(int64_t key, const Rid& rid) {
   return false;
 }
 
-std::vector<Rid> BTree::Find(int64_t key) const {
-  std::vector<Rid> out;
-  ScanRange(key, key, [&out](int64_t, const Rid& rid) {
-    out.push_back(rid);
+std::vector<uint64_t> BTree::Find(int64_t key) const {
+  std::vector<uint64_t> out;
+  ScanRange(key, key, [&out](int64_t, uint64_t value) {
+    out.push_back(value);
     return true;
   });
   return out;
@@ -141,7 +141,7 @@ std::vector<Rid> BTree::Find(int64_t key) const {
 
 bool BTree::Contains(int64_t key) const {
   bool found = false;
-  ScanRange(key, key, [&found](int64_t, const Rid&) {
+  ScanRange(key, key, [&found](int64_t, uint64_t) {
     found = true;
     return false;
   });
@@ -150,7 +150,7 @@ bool BTree::Contains(int64_t key) const {
 
 void BTree::ScanRange(
     int64_t lo, int64_t hi,
-    const std::function<bool(int64_t, const Rid&)>& fn) const {
+    const std::function<bool(int64_t, uint64_t)>& fn) const {
   const Node* leaf = FindLeaf(lo);
   while (leaf != nullptr) {
     auto it = std::lower_bound(
@@ -158,18 +158,18 @@ void BTree::ScanRange(
         [](const Entry& e, int64_t k) { return e.key < k; });
     for (; it != leaf->entries.end(); ++it) {
       if (it->key > hi) return;
-      if (!fn(it->key, it->rid)) return;
+      if (!fn(it->key, it->value)) return;
     }
     leaf = leaf->next;
   }
 }
 
-void BTree::ScanAll(const std::function<bool(int64_t, const Rid&)>& fn) const {
+void BTree::ScanAll(const std::function<bool(int64_t, uint64_t)>& fn) const {
   const Node* node = root_.get();
   while (!node->is_leaf) node = node->children.front().get();
   while (node != nullptr) {
     for (const Entry& e : node->entries)
-      if (!fn(e.key, e.rid)) return;
+      if (!fn(e.key, e.value)) return;
     node = node->next;
   }
 }
@@ -192,7 +192,6 @@ Status BTree::CheckInvariants() const {
   };
   std::vector<Frame> stack{{root_.get(), 1}};
   int leaf_depth = -1;
-  const Node* prev_leaf = nullptr;
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
@@ -203,11 +202,9 @@ Status BTree::CheckInvariants() const {
       for (size_t i = 1; i < f.node->entries.size(); ++i) {
         const Entry& a = f.node->entries[i - 1];
         const Entry& b = f.node->entries[i];
-        if (a.key > b.key || (a.key == b.key && !(a.rid < b.rid)))
+        if (a.key > b.key || (a.key == b.key && !(a.value < b.value)))
           return Corruption("b+tree leaf entries out of order");
       }
-      (void)prev_leaf;
-      prev_leaf = f.node;
     } else {
       if (f.node->children.size() != f.node->keys.size() + 1)
         return Corruption("b+tree internal child/key count mismatch");
@@ -223,7 +220,7 @@ Status BTree::CheckInvariants() const {
   size_t count = 0;
   int64_t last_key = INT64_MIN;
   bool ordered = true;
-  ScanAll([&](int64_t key, const Rid&) {
+  ScanAll([&](int64_t key, uint64_t) {
     if (key < last_key) ordered = false;
     last_key = key;
     ++count;

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <functional>
 #include <mutex>
 #include <shared_mutex>
@@ -32,8 +31,6 @@
 #include "net/connection.h"
 #include "quel/quel.h"
 #include "rel/value.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
 #include "storage/wal.h"
 
 namespace mdm {
@@ -297,86 +294,6 @@ TEST(FreeRunningConcurrency, SnapshotReadsNeverTornUnderMutation) {
 }
 
 // ----------------------------------------------------------------------
-// BufferPool: concurrent clients fetch/latch/write/unpin against a pool
-// smaller than the page set. Every page carries the same 8-byte stamp
-// at its head and tail; a torn write or a lost update surfaces as a
-// head/tail mismatch. Exercises the pool mutex, per-frame latches,
-// eviction writebacks, and the stats snapshot.
-// ----------------------------------------------------------------------
-TEST(BufferPoolConcurrency, ConcurrentClientsSeeUntornPages) {
-  storage::MemoryDiskManager disk;
-  storage::BufferPool pool(&disk, /*capacity=*/8);
-  constexpr int kPages = 32;
-  std::vector<storage::PageId> ids;
-  for (int i = 0; i < kPages; ++i) {
-    auto page = pool.NewPage();
-    ASSERT_TRUE(page.ok());
-    ids.push_back((*page)->id);
-    ASSERT_TRUE(pool.UnpinPage((*page)->id, /*dirty=*/true).ok());
-  }
-
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 500;
-  std::atomic<int> violations{0};
-  std::atomic<uint64_t> stamp_source{1};
-
-  auto client = [&](uint64_t seed) {
-    Rng rng(seed);
-    for (int i = 0; i < kOpsPerThread; ++i) {
-      storage::PageId id = ids[rng.Uniform(kPages)];
-      auto page = pool.FetchPage(id);
-      if (!page.ok()) {
-        violations.fetch_add(1);
-        continue;
-      }
-      storage::Page* p = *page;
-      bool write = rng.Bernoulli(0.4);
-      if (write) {
-        uint64_t stamp = stamp_source.fetch_add(1, std::memory_order_relaxed);
-        {
-          std::unique_lock<std::shared_mutex> latch(p->latch);
-          std::memcpy(p->data, &stamp, sizeof(stamp));
-          std::memcpy(p->data + storage::kPageSize - sizeof(stamp), &stamp,
-                      sizeof(stamp));
-        }
-      } else {
-        uint64_t head = 0, tail = 0;
-        {
-          std::shared_lock<std::shared_mutex> latch(p->latch);
-          std::memcpy(&head, p->data, sizeof(head));
-          std::memcpy(&tail, p->data + storage::kPageSize - sizeof(tail),
-                      sizeof(tail));
-        }
-        if (head != tail) violations.fetch_add(1);
-      }
-      // Latch released above — pool calls are never made latch-in-hand.
-      if (!pool.UnpinPage(id, write).ok()) violations.fetch_add(1);
-    }
-  };
-
-  std::vector<std::thread> clients;
-  for (int t = 0; t < kThreads; ++t) clients.emplace_back(client, 0xC0FFEE + t);
-  for (std::thread& t : clients) t.join();
-
-  EXPECT_EQ(violations.load(), 0);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  // Evictions forced writebacks mid-run; the flushed images must be
-  // whole too.
-  for (storage::PageId id : ids) {
-    uint8_t buf[storage::kPageSize];
-    ASSERT_TRUE(disk.ReadPage(id, buf).ok());
-    uint64_t head = 0, tail = 0;
-    std::memcpy(&head, buf, sizeof(head));
-    std::memcpy(&tail, buf + storage::kPageSize - sizeof(tail), sizeof(tail));
-    EXPECT_EQ(head, tail) << "page " << id;
-  }
-  // Every client op is exactly one FetchPage (NewPage counts neither).
-  storage::BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits + stats.misses,
-            static_cast<uint64_t>(kThreads * kOpsPerThread));
-}
-
-// ----------------------------------------------------------------------
 // QUEL: concurrent retrieves against a mutating client. Each reader's
 // count(NOTE.name) sequence must be monotone non-decreasing (appends
 // only) and inside [initial, final] — a read overlapping a half-applied
@@ -533,6 +450,76 @@ TEST(QuelConcurrency, ReadOnlyStatementsAcquireNoExclusiveLatch) {
          "(no published snapshot?)";
   EXPECT_EQ(snapshot->value() - snapshot_before,
             static_cast<uint64_t>(kReads));
+
+  // Every write path counts its one exclusive acquisition: a batch of
+  // several statements is one latch, and so is a DDL script.
+  uint64_t mark = exclusive->value();
+  auto batch = conn.ExecuteBatch({"append to NOTE (name = 100)",
+                                  "append to NOTE (name = 101)"});
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(exclusive->value() - mark, 1u) << "ExecuteBatch";
+  mark = exclusive->value();
+  ASSERT_TRUE(conn.Execute("define entity CHORD (name = integer)").ok());
+  EXPECT_EQ(exclusive->value() - mark, 1u) << "DDL script";
+}
+
+// ----------------------------------------------------------------------
+// The staleness fence across a disciplined writer's Begin: ops applied
+// through the direct API are unpublished, so a read falls back to the
+// shared latch and sees them. A writer that then takes the exclusive
+// latch and opens a statement group (or a write scope) raises the
+// writer-active mark; from then on lock-free readers are served the
+// published snapshot, which therefore must already include those ops —
+// a reader must never see an older state than a latched read returned.
+// ----------------------------------------------------------------------
+TEST(QuelConcurrency, StatementGroupPublishesPendingDirectWrites) {
+  Database db;
+  ASSERT_TRUE(
+      ddl::ExecuteDdl("define entity NOTE (name = integer)", &db).ok());
+  mdm::Connection conn = mdm::Connection::Local(&db);
+  const std::string count = "retrieve (c = count(NOTE.name))";
+
+  // Runs the count on another thread while this one holds the
+  // exclusive latch inside `begin`/`end`. A reader that queues on the
+  // latch instead of pinning the snapshot is reported, not deadlocked.
+  auto count_under_writer = [&](const std::function<void()>& begin,
+                                const std::function<void()>& end) {
+    Result<quel::ResultSet> rs = quel::ResultSet{};
+    std::atomic<bool> done{false};
+    std::unique_lock<std::shared_mutex> latch(db.latch());
+    begin();
+    std::thread reader([&] {
+      mdm::Connection other = mdm::Connection::Local(&db);
+      rs = other.Execute(count);
+      done.store(true, std::memory_order_release);
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const bool pinned = done.load(std::memory_order_acquire);
+    end();
+    latch.unlock();
+    reader.join();
+    EXPECT_TRUE(pinned) << "reader blocked behind the exclusive latch";
+    return rs;
+  };
+
+  for (int i = 0; i < 5; ++i) MustCreate(&db, "NOTE", i);
+  auto latched = conn.Execute(count);
+  ASSERT_TRUE(latched.ok()) << latched.status().ToString();
+  ASSERT_EQ(latched->rows[0][0].AsInt(), 5);
+  auto in_group = count_under_writer([&] { db.BeginStatementGroup(); },
+                                     [&] { (void)db.EndStatementGroup(); });
+  ASSERT_TRUE(in_group.ok()) << in_group.status().ToString();
+  EXPECT_EQ(in_group->rows[0][0].AsInt(), 5);
+
+  for (int i = 0; i < 3; ++i) MustCreate(&db, "NOTE", 10 + i);
+  auto in_scope = count_under_writer([&] { db.BeginWriteScope(); },
+                                     [&] { db.EndWriteScope(); });
+  ASSERT_TRUE(in_scope.ok()) << in_scope.status().ToString();
+  EXPECT_EQ(in_scope->rows[0][0].AsInt(), 8);
 }
 
 // ----------------------------------------------------------------------

@@ -1,19 +1,16 @@
 // Fault-injection suite: the failpoint registry itself, the
-// FaultInjecting{DiskManager,WalSink} decorators, physical-level tears
-// caught by page checksums, and DurableDatabase behavior under injected
-// snapshot/journal failures (torn WAL tails, bit-flipped records,
-// corrupt snapshots).
+// FaultInjectingWalSink decorator, and DurableDatabase behavior under
+// injected snapshot/journal failures (torn WAL tails, bit-flipped
+// records, corrupt snapshots).
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "er/persist.h"
 #include "rel/value.h"
-#include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
 #include "storage/wal.h"
 
@@ -68,105 +65,13 @@ TEST(FailpointTest, PowerCutLatchesAndCountsIo) {
   EXPECT_EQ(reg.io_count(), 0u);
 }
 
-class FaultDiskTest : public testing::Test {
- protected:
-  FaultDiskTest() : dm_(&base_, &reg_) {}
-  FailpointRegistry reg_;
-  MemoryDiskManager base_;
-  FaultInjectingDiskManager dm_;
-};
-
-TEST_F(FaultDiskTest, NthWriteFailsWithIoError) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t buf[kPageSize] = {1};
-  reg_.Arm("disk.write", Failpoint::FailNth(2, FaultKind::kError));
-  EXPECT_TRUE(dm_.WritePage(id, buf).ok());
-  EXPECT_EQ(dm_.WritePage(id, buf).code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.WritePage(id, buf).ok());
-}
-
-TEST_F(FaultDiskTest, TornWriteIsSilentAndLeavesMixedPage) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t old_data[kPageSize];
-  uint8_t new_data[kPageSize];
-  std::memset(old_data, 0xAA, kPageSize);
-  std::memset(new_data, 0xBB, kPageSize);
-  ASSERT_TRUE(dm_.WritePage(id, old_data).ok());
-  reg_.Arm("disk.write",
-           Failpoint::FailNth(1, FaultKind::kTornWrite, 0.25));
-  EXPECT_TRUE(dm_.WritePage(id, new_data).ok());  // silent tear
-  uint8_t out[kPageSize];
-  ASSERT_TRUE(dm_.ReadPage(id, out).ok());
-  EXPECT_EQ(out[0], 0xBB);                 // new prefix landed
-  EXPECT_EQ(out[kPageSize - 1], 0xAA);     // old tail survived
-}
-
-TEST_F(FaultDiskTest, ShortWriteReportsErrorAndTearsPage) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t new_data[kPageSize];
-  std::memset(new_data, 0xCC, kPageSize);
-  reg_.Arm("disk.write",
-           Failpoint::FailNth(1, FaultKind::kShortWrite, 0.5));
-  EXPECT_EQ(dm_.WritePage(id, new_data).code(), StatusCode::kIoError);
-  uint8_t out[kPageSize];
-  ASSERT_TRUE(dm_.ReadPage(id, out).ok());
-  EXPECT_EQ(out[0], 0xCC);
-  EXPECT_EQ(out[kPageSize - 1], 0x00);  // freshly allocated page was zero
-}
-
-TEST_F(FaultDiskTest, ReadAndSyncFailures) {
-  PageId id;
-  ASSERT_TRUE(dm_.AllocatePage(&id).ok());
-  uint8_t buf[kPageSize] = {};
-  reg_.Arm("disk.read", Failpoint::FailNth(1, FaultKind::kError));
-  reg_.Arm("disk.sync", Failpoint::FailNth(1, FaultKind::kError));
-  EXPECT_EQ(dm_.ReadPage(id, buf).code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.ReadPage(id, buf).ok());
-  EXPECT_EQ(dm_.Sync().code(), StatusCode::kIoError);
-  EXPECT_TRUE(dm_.Sync().ok());
-}
-
 /// Tests below arm the process-global registry (the physical failpoints
-/// inside FileDiskManager / FileWalSink / the snapshot writer) and must
-/// leave it clean.
+/// inside FileWalSink and the snapshot writer) and must leave it clean.
 class GlobalFaultTest : public testing::Test {
  protected:
   void SetUp() override { FailpointRegistry::Global()->Reset(); }
   void TearDown() override { FailpointRegistry::Global()->Reset(); }
-
-  static std::string TempPath(const char* name) {
-    std::string path = testing::TempDir() + "/" + name;
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-    std::remove((path + ".wal").c_str());
-    for (int e = 1; e <= 4; ++e)
-      std::remove((path + ".wal." + std::to_string(e)).c_str());
-    return path;
-  }
 };
-
-TEST_F(GlobalFaultTest, PhysicalTornPageWriteCaughtByChecksumOnRead) {
-  std::string path = TempPath("torn_page.db");
-  auto dm = FileDiskManager::Open(path);
-  ASSERT_TRUE(dm.ok());
-  PageId id;
-  ASSERT_TRUE((*dm)->AllocatePage(&id).ok());
-  uint8_t data[kPageSize];
-  std::memset(data, 0x42, kPageSize);
-  // Tear the physical frame write: a prefix (header + some data) lands,
-  // the write reports success — exactly what a power cut leaves.
-  FailpointRegistry::Global()->Arm(
-      "disk.file.write", Failpoint::FailNth(1, FaultKind::kTornWrite, 0.5));
-  EXPECT_TRUE((*dm)->WritePage(id, data).ok());
-  uint8_t out[kPageSize];
-  EXPECT_EQ((*dm)->ReadPage(id, out).code(), StatusCode::kCorruption);
-  // An intact page on the same file still reads fine.
-  EXPECT_TRUE((*dm)->ReadPage(0, out).ok());
-  std::remove(path.c_str());
-}
 
 TEST_F(GlobalFaultTest, TornWalAppendRecoversCommittedPrefix) {
   MemoryWalSink base;

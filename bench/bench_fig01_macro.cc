@@ -13,12 +13,6 @@
 //   --smoke        small preset (~10^4 notes), used by ctest/CI tier 1
 //   --oracle       cross-check every op + periodic battery (default in
 //                  --smoke; full scale runs open-loop by default)
-//   --bulk-index=off   load with incremental per-insert index upkeep
-//                  instead of bulk build + one rebuild (the ablation
-//                  that reproduces the 10^5 -> 10^6 load slowdown)
-//   --ablation     after the phases, load the corpus twice more (bulk
-//                  on, bulk off) and emit the pair as BENCH_JSON;
-//                  implied by --smoke
 //   --scores=N --notes=N --threads=N --ops=N --seed=N  override scale
 //
 // Output: one BENCH_JSON line per phase (load, local, remote) with
@@ -45,8 +39,6 @@ using mdm::Result;
 struct Options {
   bool smoke = false;
   bool oracle = false;
-  bool bulk_index = true;
-  bool ablation = false;
   int scores = 1000;
   long long notes = 1'000'000;
   int threads = 8;
@@ -67,12 +59,6 @@ Options ParseOptions(int argc, char** argv) {
     long long v = 0;
     if (std::strcmp(argv[i], "--oracle") == 0)
       o.oracle = true;
-    else if (std::strcmp(argv[i], "--bulk-index=off") == 0)
-      o.bulk_index = false;
-    else if (std::strcmp(argv[i], "--bulk-index=on") == 0)
-      o.bulk_index = true;
-    else if (std::strcmp(argv[i], "--ablation") == 0)
-      o.ablation = true;
     else if (ParseIntFlag(argv[i], "--scores", &v))
       o.scores = static_cast<int>(v);
     else if (ParseIntFlag(argv[i], "--notes", &v))
@@ -169,7 +155,6 @@ bool LoadPhaseDb(const char* phase, const Options& o, LoadedDb* out) {
   load.spec.seed = o.seed;
   load.spec.scores = o.scores;
   load.spec.target_total_notes = o.notes;
-  load.bulk_index_build = o.bulk_index;
   int report_every = o.scores > 20 ? o.scores / 10 : o.scores;
   load.progress = [report_every](int done, long long notes) {
     if (done % report_every == 0)
@@ -194,10 +179,10 @@ bool LoadPhaseDb(const char* phase, const Options& o, LoadedDb* out) {
       (long long)corpus->total_measures, load_s, notes_per_s);
   std::printf(
       "BENCH_JSON {\"bench\": \"fig01_macro_load\", \"phase\": \"%s\", "
-      "\"smoke\": %s, \"bulk_index\": %s, \"scores\": %zu, "
+      "\"smoke\": %s, \"scores\": %zu, "
       "\"notes\": %lld, \"measures\": %lld, \"seconds\": %.3f, "
       "\"notes_per_second\": %.0f%s}\n",
-      phase, o.smoke ? "true" : "false", o.bulk_index ? "true" : "false",
+      phase, o.smoke ? "true" : "false",
       corpus->tenants.size(), (long long)corpus->total_notes,
       (long long)corpus->total_measures, load_s, notes_per_s,
       load_metrics.DeltaJsonSuffix().c_str());
@@ -258,19 +243,5 @@ int main(int argc, char** argv) {
        ok;
   server.Stop();
   remote_db.db.reset();
-
-  // Ablation: load the same corpus with bulk index build on vs off.
-  // With incremental upkeep every insert pays per-index tree
-  // maintenance, which is exactly the 10^5 -> 10^6 slowdown the bulk
-  // path removes — the BENCH_JSON pair quantifies it.
-  if (o.ablation || o.smoke) {
-    for (bool bulk : {true, false}) {
-      Options ab = o;
-      ab.bulk_index = bulk;
-      LoadedDb db;
-      if (!LoadPhaseDb(bulk ? "ablate_bulk_on" : "ablate_bulk_off", ab, &db))
-        return 1;
-    }
-  }
   return ok ? 0 : 1;
 }

@@ -49,6 +49,7 @@ Database MakeComposerDb(int compositions) {
                      {{"person", people[rng.Uniform(people.size())]},
                       {"composition", *comp}});
   }
+  db.PublishSnapshot();  // timed reads take the snapshot path
   return db;
 }
 

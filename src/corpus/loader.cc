@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 
 #include "biblio/thematic_index.h"
@@ -42,29 +41,6 @@ Status DefineWorkloadIndexes(er::Database* db) {
   }
   return Status::OK();
 }
-
-/// Restores normal index maintenance even when the load errors out
-/// mid-way — a database left in bulk mode would silently stop
-/// maintaining its indexes.
-class BulkIndexScope {
- public:
-  explicit BulkIndexScope(er::Database* db) : db_(db) {
-    db_->BeginBulkIndexLoad();
-  }
-  ~BulkIndexScope() {
-    if (db_ != nullptr) (void)db_->EndBulkIndexLoad();
-  }
-  /// Ends the scope explicitly so the success path can surface a
-  /// rebuild failure instead of swallowing it in the destructor.
-  Result<uint64_t> End() {
-    er::Database* db = db_;
-    db_ = nullptr;
-    return db->EndBulkIndexLoad();
-  }
-
- private:
-  er::Database* db_;
-};
 
 /// One score's import = ONE er statement group = one WAL transaction
 /// with a single (group-committable) fsync — the in-process analog of
@@ -113,13 +89,9 @@ Result<Corpus> LoadCorpus(er::Database* db, const LoadOptions& options) {
   MDM_RETURN_IF_ERROR(biblio::InstallBiblioSchema(db));
   MDM_ASSIGN_OR_RETURN(EntityId catalog,
                        biblio::CreateCatalog(db, "MDM corpus", "MDM"));
-  // Indexes are defined BEFORE the load; in bulk mode their per-insert
-  // maintenance is suppressed and each tree is rebuilt once at the end,
-  // so the default cost matches the old define-after-load shape while
-  // also covering databases that already carry indexes.
+  // Indexes are defined BEFORE the load and maintained per insert, so
+  // each score's batch publishes its index entries with its data.
   if (options.define_indexes) MDM_RETURN_IF_ERROR(DefineWorkloadIndexes(db));
-  std::optional<BulkIndexScope> bulk;
-  if (options.bulk_index_build) bulk.emplace(db);
 
   Corpus corpus;
   corpus.tenants.reserve(static_cast<size_t>(std::max(1, options.spec.scores)));
@@ -194,9 +166,6 @@ Result<Corpus> LoadCorpus(er::Database* db, const LoadOptions& options) {
     progress_g->Set(i + 1);
     if (options.progress) options.progress(i + 1, corpus.total_notes);
   }
-
-  // One rebuild per index, at full scale, instead of per-insert upkeep.
-  if (bulk.has_value()) MDM_RETURN_IF_ERROR(bulk->End().status());
   return corpus;
 }
 

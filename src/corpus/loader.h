@@ -53,18 +53,9 @@ struct LoadOptions {
   CorpusSpec spec;
   /// When true (default), defines the secondary attribute indexes the
   /// workload's planner-sensitive queries rely on (score title, staff
-  /// number, catalog number/incipit, annotation xpos) before the bulk
-  /// load begins.
+  /// number, catalog number/incipit, annotation xpos) before the load
+  /// begins.
   bool define_indexes = true;
-  /// When true (default), the load runs in bulk index mode: per-insert
-  /// secondary-index maintenance is suppressed (BeginBulkIndexLoad)
-  /// and every index is rebuilt ONCE from the loaded data at the end
-  /// (EndBulkIndexLoad). This is what keeps a 10^6-note load from
-  /// sliding into per-note B-tree maintenance — the 10^5 -> 10^6
-  /// slowdown the write-path overhaul was chartered to fix. false =
-  /// ablation: indexes are maintained incrementally on every insert
-  /// (bench_fig01 --bulk-index=off measures exactly this).
-  bool bulk_index_build = true;
   /// Invoked after each score is loaded; for bench progress lines.
   std::function<void(int scores_done, int64_t notes_done)> progress;
 };

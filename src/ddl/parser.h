@@ -40,9 +40,9 @@ struct DdlResult {
 /// `type_name` is one of the scalar domains (integer, float, string,
 /// bool, rational) or a previously defined entity type (making the
 /// attribute an entity-valued reference, §5.1). Indexes are the §5.2
-/// physical design: a secondary B-tree over one attribute of one entity
-/// type, maintained on every create/update/delete and journaled like
-/// any other schema change (see docs/INDEXES.md).
+/// physical design: secondary posting lists over one attribute of one
+/// entity type, maintained on every create/update/delete and journaled
+/// like any other schema change (see docs/INDEXES.md).
 Result<DdlResult> ExecuteDdl(const std::string& script, er::Database* db);
 
 /// Parses a DDL script without executing it (syntax check only).

@@ -53,7 +53,8 @@ struct IndexCounters {
     static IndexCounters c = {
         obs::Registry::Global()->GetCounter(
             "mdm_index_lookups_total",
-            "Secondary-index probes answered from a B+tree"),
+            "Secondary-index probes (each answered from the reader's own "
+            "snapshot)"),
         obs::Registry::Global()->GetCounter(
             "mdm_index_inserts_total",
             "Secondary-index entries added (mutations and backfills)"),
@@ -72,7 +73,6 @@ struct SnapCounters {
   obs::Counter* publishes;
   obs::Counter* reads;
   obs::Counter* pin_fallbacks;
-  obs::Counter* index_fallbacks;
   static const SnapCounters& Get() {
     static SnapCounters c = {
         obs::Registry::Global()->GetCounter(
@@ -84,11 +84,7 @@ struct SnapCounters {
         obs::Registry::Global()->GetCounter(
             "mdm_er_snapshot_pin_fallbacks_total",
             "Snapshot pins refused (unpublished mutations, no disciplined "
-            "writer); reader fell back to the shared latch"),
-        obs::Registry::Global()->GetCounter(
-            "mdm_index_snapshot_fallbacks_total",
-            "Snapshot index probes degraded to a type scan by an "
-            "erase-epoch mismatch")};
+            "writer); reader fell back to the shared latch")};
     return c;
   }
 };
@@ -105,7 +101,7 @@ thread_local TlsPinned g_pinned;
 // ---------------------------------------------------------------------
 // Secondary-index key encoding.
 //
-// The B+tree maps int64 keys to entity ids. The encoding must satisfy:
+// Postings are keyed by an int64 encoding of the value, which must satisfy:
 // values equal under Value::Compare encode to the same key (or the
 // probe misses rows); unequal values MAY collide (strings and rationals
 // are hashed) because the planner keeps the equality conjunct in the
@@ -205,7 +201,6 @@ void Database::PublishSnapshot() {
       ops_applied_.load(std::memory_order_relaxed) ==
           published_ops_.load(std::memory_order_relaxed))
     return;  // nothing changed since the last publish
-  RefreshIndexEpochs();
   auto snap = std::make_shared<const Tables>(live_);
   {
     std::lock_guard<std::mutex> lock(snap_mu_);
@@ -254,10 +249,6 @@ Database& Database::operator=(Database&& other) noexcept {
       other.attr_index_enabled_.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
   attr_stats_.CopyFrom(other.attr_stats_);
-  bulk_index_load_.store(
-      other.bulk_index_load_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  attr_erase_dirty_ = other.attr_erase_dirty_;
   wal_ = other.wal_;
   coordinator_ = other.coordinator_;
   open_txn_ = other.open_txn_;
@@ -271,8 +262,6 @@ Database& Database::operator=(Database&& other) noexcept {
   other.ops_applied_.store(0, std::memory_order_relaxed);
   other.published_ops_.store(0, std::memory_order_relaxed);
   other.writer_active_.store(false, std::memory_order_relaxed);
-  other.bulk_index_load_.store(false, std::memory_order_relaxed);
-  other.attr_erase_dirty_ = false;
   other.wal_ = nullptr;
   other.coordinator_ = nullptr;
   other.open_txn_ = 0;
@@ -289,7 +278,7 @@ Database& Database::operator=(Database&& other) noexcept {
 // mutated directly (persistent maps never touch shared nodes — a
 // published snapshot keeps its own root), while every shared_ptr-held
 // struct (schema, by_type, rels_by_name, indexes, OrdStates, records,
-// Sibs) goes through its Mutable* helper, which clones unless the
+// id lists) goes through its Mutable* helper, which clones unless the
 // object is already private to the current publish generation.
 // ---------------------------------------------------------------------
 
@@ -366,19 +355,21 @@ OrdState* Database::MutableOrd(size_t index) {
   return slot.get();
 }
 
-Sibs* Database::MutableSibs(OrdState* ord, EntityId parent) {
-  const std::shared_ptr<Sibs>* cur = ord->children.Find(parent);
-  std::shared_ptr<Sibs> fresh;
+template <typename K>
+IdList* Database::MutableIdList(PMap<K, std::shared_ptr<IdList>>* lists,
+                                K key) {
+  const std::shared_ptr<IdList>* cur = lists->Find(key);
+  std::shared_ptr<IdList> fresh;
   if (cur == nullptr) {
-    fresh = std::make_shared<Sibs>();
+    fresh = std::make_shared<IdList>();
   } else if ((*cur)->gen == publish_gen_) {
     return cur->get();
   } else {
-    fresh = std::make_shared<Sibs>(**cur);
+    fresh = std::make_shared<IdList>(**cur);
   }
   fresh->gen = publish_gen_;
-  Sibs* raw = fresh.get();
-  ord->children.Insert(parent, std::move(fresh));
+  IdList* raw = fresh.get();
+  lists->Insert(key, std::move(fresh));
   return raw;
 }
 
@@ -578,7 +569,7 @@ Status Database::DeleteEntity(EntityId id) {
     EntityId parent = pp == nullptr ? kInvalidEntityId : *pp;
     OrdState* ord = MutableOrd(i);
     if (pp != nullptr) {
-      Sibs* sibs = MutableSibs(ord, parent);
+      Sibs* sibs = MutableIdList(&ord->children, parent);
       sibs->ids.erase(std::remove(sibs->ids.begin(), sibs->ids.end(), id),
                       sibs->ids.end());
       ord->parent_of.Erase(id);
@@ -997,7 +988,7 @@ Status Database::DoInsertChildAt(OrderingHandle h, EntityId parent,
         def.name.c_str()));
 
   OrdState* ord = MutableOrd(h.index());
-  Sibs* sibs = MutableSibs(ord, parent);
+  Sibs* sibs = MutableIdList(&ord->children, parent);
   if (pos > sibs->ids.size())
     return OutOfRange(StrFormat("position %zu beyond %zu siblings", pos,
                                 sibs->ids.size()));
@@ -1047,7 +1038,7 @@ Status Database::DoRemoveChild(OrderingHandle h, EntityId child) {
                               (unsigned long long)child, def.name.c_str()));
   EntityId parent = *pp;
   OrdState* ord = MutableOrd(h.index());
-  Sibs* sibs = MutableSibs(ord, parent);
+  Sibs* sibs = MutableIdList(&ord->children, parent);
   sibs->ids.erase(std::remove(sibs->ids.begin(), sibs->ids.end(), child),
                   sibs->ids.end());
   ord->parent_of.Erase(child);
@@ -1261,19 +1252,17 @@ Status Database::DefineIndex(AttrIndexDef def) {
       ix->type_index = static_cast<uint32_t>(i);
   ix->attr_slot = static_cast<uint32_t>(*slot);
 
-  // Backfill from existing entities (nulls are never indexed). The tree
-  // is not yet visible to any reader, so no probe lock is needed.
+  // Backfill from existing entities (nulls are never indexed). Ids come
+  // in ascending order, so every posting stays sorted by appending.
+  IndexSlot fresh;
+  fresh.index = ix;
   attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().rebuilds->Inc();
   auto by = live_.by_type->sets.find(AsciiUpper(tdef->name));
   if (by != live_.by_type->sets.end()) {
     by->second.ForEach([&](EntityId id, uint8_t) {
       const Value& v = (*live_.entities.Find(id))->attrs[ix->attr_slot];
-      if (!v.is_null()) {
-        ix->tree.Insert(AttrKeyFor(v), id);
-        attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-        IndexCounters::Get().inserts->Inc();
-      }
+      if (!v.is_null()) PostingInsert(&fresh, AttrKeyFor(v), id);
       return true;
     });
   }
@@ -1282,7 +1271,7 @@ Status Database::DefineIndex(AttrIndexDef def) {
   payload.PutString(ix->def.name);
   payload.PutString(ix->def.entity_type);
   payload.PutString(ix->def.attr);
-  MutableIndexes()->slots[key] = IndexSlot{std::move(ix), 0};
+  MutableIndexes()->slots[key] = std::move(fresh);
   return LogOp(Op::kDefineIndex, payload.data());
 }
 
@@ -1290,7 +1279,7 @@ Status Database::DestroyIndex(const std::string& name) {
   const std::string key = AsciiUpper(name);
   if (live_.indexes->slots.count(key) == 0)
     return NotFound("no index named " + name);
-  // Pinned snapshots co-own the AttrIndex and keep probing it.
+  // Pinned snapshots keep their own IndexMap, slot and postings.
   MutableIndexes()->slots.erase(key);
   ByteWriter payload;
   payload.PutString(name);
@@ -1307,7 +1296,6 @@ std::vector<AttrIndexDef> Database::AttrIndexDefs() const {
 const AttrIndex* Database::FindAttrIndex(std::string_view entity_type,
                                          std::string_view attr) const {
   if (!attr_index_enabled()) return nullptr;
-  if (bulk_index_load_.load(std::memory_order_relaxed)) return nullptr;
   for (const auto& [key, slot] : ReadTables().indexes->slots) {
     if (EqualsIgnoreCase(slot.index->def.entity_type, entity_type) &&
         EqualsIgnoreCase(slot.index->def.attr, attr))
@@ -1324,140 +1312,64 @@ const AttrIndex* Database::FindAttrIndexByName(std::string_view name) const {
 
 std::vector<EntityId> Database::IndexLookup(const AttrIndex& index,
                                             const Value& key) const {
-  std::vector<EntityId> out;
-  if (key.is_null()) return out;  // see header: callers scan for nulls
+  if (key.is_null()) return {};  // see header: callers scan for nulls
   attr_stats_.lookups.fetch_add(1, std::memory_order_relaxed);
   IndexCounters::Get().lookups->Inc();
-  const Tables& t = ReadTables();
-  if (&t == &live_) {
-    // Live read: the caller holds the db latch (shared or exclusive),
-    // which already excludes tree maintenance (exclusive latch).
-    return index.tree.Find(AttrKeyFor(key));
+  // Live or pinned, the slot's postings are exactly this version's
+  // entries: a snapshot never sees a later write.
+  for (const auto& [name, slot] : ReadTables().indexes->slots) {
+    if (slot.index.get() != &index) continue;
+    const std::shared_ptr<Posting>* p = slot.postings.Find(AttrKeyFor(key));
+    return p == nullptr ? std::vector<EntityId>{} : (*p)->ids;
   }
-  // Snapshot probe. The tree is shared mutable state, so synchronize
-  // with writer maintenance on probe_mu and fence on the erase epoch
-  // captured when this snapshot was published: an erase since then may
-  // have removed a row this snapshot still contains.
-  const IndexSlot* slot = nullptr;
-  auto it = t.indexes->slots.find(AsciiUpper(index.def.name));
-  if (it != t.indexes->slots.end() && it->second.index.get() == &index)
-    slot = &it->second;
-  {
-    std::shared_lock<std::shared_mutex> probe(index.probe_mu);
-    if (slot != nullptr &&
-        index.erase_epoch.load(std::memory_order_acquire) ==
-            slot->erase_epoch) {
-      for (EntityId id : index.tree.Find(AttrKeyFor(key))) {
-        // Rows inserted after the snapshot are filtered here (and by the
-        // retained equality conjunct for value changes).
-        if (t.entities.Contains(id)) out.push_back(id);
-      }
-      return out;
-    }
+  return {};
+}
+
+void Database::PostingInsert(IndexSlot* slot, int64_t key, EntityId id) {
+  std::vector<EntityId>& ids = MutableIdList(&slot->postings, key)->ids;
+  // Fresh entities carry the largest id, so this is usually an append.
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+  attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+  IndexCounters::Get().inserts->Inc();
+}
+
+void Database::PostingErase(IndexSlot* slot, int64_t key, EntityId id) {
+  const std::shared_ptr<Posting>* cur = slot->postings.Find(key);
+  if (cur == nullptr) return;
+  const std::vector<EntityId>& shared = (*cur)->ids;
+  if (!std::binary_search(shared.begin(), shared.end(), id)) return;
+  if (shared.size() == 1) {
+    slot->postings.Erase(key);
+  } else {
+    std::vector<EntityId>& ids = MutableIdList(&slot->postings, key)->ids;
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), id));
   }
-  // Degraded: scan-shaped candidate list — every id of the indexed type
-  // in this snapshot. Correct superset; the conjunct re-check filters.
-  SnapCounters::Get().index_fallbacks->Inc();
-  const std::string type_name =
-      AsciiUpper(t.schema->schema.entity_types()[index.type_index].name);
-  auto bt = t.by_type->sets.find(type_name);
-  if (bt != t.by_type->sets.end()) {
-    bt->second.ForEach([&](EntityId id, uint8_t) {
-      out.push_back(id);
-      return true;
-    });
-  }
-  return out;
+  attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
+  IndexCounters::Get().erases->Inc();
 }
 
 void Database::AttrIndexOnSet(const EntityRecord& rec, uint32_t attr_slot,
                               const Value& old_value, const Value& new_value) {
-  if (bulk_index_load_.load(std::memory_order_relaxed)) return;
-  const IndexMap& im = *live_.indexes;
-  if (im.slots.empty()) return;
-  for (const auto& [key, slot] : im.slots) {
-    AttrIndex& ix = *slot.index;
+  if (live_.indexes->slots.empty()) return;
+  for (auto& [key, slot] : MutableIndexes()->slots) {
+    const AttrIndex& ix = *slot.index;
     if (ix.type_index != rec.type_index || ix.attr_slot != attr_slot)
       continue;
-    std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
-    if (!old_value.is_null() &&
-        ix.tree.Erase(AttrKeyFor(old_value), rec.id)) {
-      ix.erase_epoch.fetch_add(1, std::memory_order_release);
-      attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
-      IndexCounters::Get().erases->Inc();
-    }
-    if (!new_value.is_null()) {
-      ix.tree.Insert(AttrKeyFor(new_value), rec.id);
-      attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-      IndexCounters::Get().inserts->Inc();
-    }
+    if (!old_value.is_null())
+      PostingErase(&slot, AttrKeyFor(old_value), rec.id);
+    if (!new_value.is_null())
+      PostingInsert(&slot, AttrKeyFor(new_value), rec.id);
   }
 }
 
 void Database::AttrIndexOnDelete(const EntityRecord& rec) {
-  if (bulk_index_load_.load(std::memory_order_relaxed)) return;
-  const IndexMap& im = *live_.indexes;
-  if (im.slots.empty()) return;
-  for (const auto& [key, slot] : im.slots) {
-    AttrIndex& ix = *slot.index;
+  if (live_.indexes->slots.empty()) return;
+  for (auto& [key, slot] : MutableIndexes()->slots) {
+    const AttrIndex& ix = *slot.index;
     if (ix.type_index != rec.type_index) continue;
     const Value& v = rec.attrs[ix.attr_slot];
-    if (v.is_null()) continue;
-    std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
-    if (ix.tree.Erase(AttrKeyFor(v), rec.id)) {
-      ix.erase_epoch.fetch_add(1, std::memory_order_release);
-      attr_erase_dirty_ = true;
-      attr_stats_.erases.fetch_add(1, std::memory_order_relaxed);
-      IndexCounters::Get().erases->Inc();
-    }
+    if (!v.is_null()) PostingErase(&slot, AttrKeyFor(v), rec.id);
   }
-}
-
-void Database::RefreshIndexEpochs() {
-  if (!attr_erase_dirty_) return;
-  attr_erase_dirty_ = false;
-  IndexMap* im = MutableIndexes();
-  for (auto& [key, slot] : im->slots)
-    slot.erase_epoch = slot.index->erase_epoch.load(std::memory_order_acquire);
-}
-
-void Database::BeginBulkIndexLoad() {
-  bulk_index_load_.store(true, std::memory_order_relaxed);
-}
-
-Result<uint64_t> Database::EndBulkIndexLoad() {
-  if (!bulk_index_load_.load(std::memory_order_relaxed))
-    return FailedPrecondition("no bulk index load active");
-  bulk_index_load_.store(false, std::memory_order_relaxed);
-  uint64_t rebuilt = 0;
-  const ErSchema& schema = live_.schema->schema;
-  for (const auto& [key, slot] : live_.indexes->slots) {
-    AttrIndex& ix = *slot.index;
-    std::unique_lock<std::shared_mutex> probe(ix.probe_mu);
-    ix.tree = storage::BTree();
-    attr_stats_.rebuilds.fetch_add(1, std::memory_order_relaxed);
-    IndexCounters::Get().rebuilds->Inc();
-    const std::string type_name =
-        AsciiUpper(schema.entity_types()[ix.type_index].name);
-    auto by = live_.by_type->sets.find(type_name);
-    if (by != live_.by_type->sets.end()) {
-      by->second.ForEach([&](EntityId id, uint8_t) {
-        const Value& v = (*live_.entities.Find(id))->attrs[ix.attr_slot];
-        if (!v.is_null()) {
-          ix.tree.Insert(AttrKeyFor(v), id);
-          attr_stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-          IndexCounters::Get().inserts->Inc();
-        }
-        return true;
-      });
-    }
-    // The tree changed wholesale: fence any snapshot published earlier.
-    ix.erase_epoch.fetch_add(1, std::memory_order_release);
-    attr_erase_dirty_ = true;
-    ++rebuilt;
-  }
-  return rebuilt;
 }
 
 // ---------------------------------------------------------------------
@@ -1583,9 +1495,9 @@ void Database::Snapshot(ByteWriter* w) const {
           return true;
         });
   }
-  // Secondary attribute indexes: definitions only. The tree contents
-  // are derivable from the entity data above, so Restore rebuilds them
-  // (and counts the rebuilds) instead of deserializing b-tree pages.
+  // Secondary attribute indexes: definitions only. The postings are
+  // derivable from the entity data above, so Restore rebuilds them (and
+  // counts the rebuilds).
   w->PutVarint(t.indexes->slots.size());
   for (const auto& [key, slot] : t.indexes->slots) {
     w->PutString(slot.index->def.name);
@@ -1694,7 +1606,7 @@ Status Database::Restore(ByteReader* r, Database* out) {
     }
   }
   // Index-definition section (absent in pre-index snapshots: treat EOF
-  // as zero indexes). DefineIndex re-backfills each tree from the
+  // as zero indexes). DefineIndex re-backfills each index from the
   // freshly restored entities; no journal is attached yet, so nothing
   // is re-logged.
   if (!r->AtEnd()) {

@@ -19,7 +19,6 @@
 #include "er/pmap.h"
 #include "er/schema.h"
 #include "rel/value.h"
-#include "storage/btree.h"
 #include "storage/wal.h"
 
 namespace mdm::er {
@@ -76,8 +75,8 @@ struct OrderingIndexStats {
 
 /// Definition of one secondary attribute index (§5.2's "orderings as
 /// physical optimization" generalized to attributes — the thematic
-/// index made physical): a B+tree over one attribute of one entity
-/// type. Index names are unique case-insensitively; the catalog is
+/// index made physical): posting lists over one attribute of one
+/// entity type. Index names are unique case-insensitively; the catalog is
 /// mirrored into the meta-schema as INDEX_DEF entities (Fig 9).
 struct AttrIndexDef {
   std::string name;
@@ -90,33 +89,19 @@ struct AttrIndexDef {
 /// mdm_index_{lookups,inserts,erases,rebuilds}_total; this accessor
 /// remains for per-instance attribution in tests and benches.
 struct AttrIndexStats {
-  uint64_t lookups = 0;   // IndexLookup probes answered from a B+tree
+  uint64_t lookups = 0;   // IndexLookup probes
   uint64_t inserts = 0;   // entries added (mutations + backfill)
   uint64_t erases = 0;    // entries removed (updates, deletes)
   uint64_t rebuilds = 0;  // full backfills (define, restore, replay)
 };
 
-/// One live secondary index: its definition, the resolved schema slots
-/// and the backing B+tree. Heap-allocated and shared between the live
-/// tables and published snapshots, so a pinned snapshot keeps probing
-/// a dropped index safely.
-///
-/// The tree itself is mutated in place by writers (under the exclusive
-/// db latch). Snapshot readers probe it without the db latch, so probe
-/// and maintenance synchronize on `probe_mu`. `erase_epoch` counts
-/// entry removals (updates, deletes, bulk rebuilds): a snapshot whose
-/// publish-time epoch no longer matches falls back to a scan-shaped
-/// candidate list, because the tree may now be missing rows that exist
-/// in that snapshot. Inserts need no epoch — extra candidates are
-/// filtered by the retained equality conjunct and the snapshot
-/// existence check.
+/// One secondary index's immutable definition and resolved schema
+/// slots. Its entries live in the index's IndexSlot inside Tables, so
+/// every snapshot probes its own version of them.
 struct AttrIndex {
   AttrIndexDef def;
   uint32_t type_index = 0;  // into ErSchema::entity_types()
   uint32_t attr_slot = 0;   // into that type's attributes
-  storage::BTree tree;
-  mutable std::shared_mutex probe_mu;
-  std::atomic<uint64_t> erase_epoch{0};
 };
 
 // ---------------------------------------------------------------------
@@ -159,12 +144,16 @@ struct OrderingIndexCell {
   std::shared_ptr<const IntervalIndex> intervals;  // guarded by publish_mu
 };
 
-/// The ordered children of one parent in one ordering. Copy-on-write
-/// via `gen`, exactly like EntityRecord.
-struct Sibs {
+/// A list of entity ids, copy-on-write via `gen` exactly like
+/// EntityRecord (see Database::MutableIdList).
+struct IdList {
   uint64_t gen = 0;
   std::vector<EntityId> ids;
 };
+/// The ordered children of one parent in one ordering.
+using Sibs = IdList;
+/// The entities whose indexed attribute encodes to one key, ascending.
+using Posting = IdList;
 
 /// One ordering's instance edges. `version` advances on every S/P-edge
 /// mutation (it replaces the old cell epoch as the index staleness
@@ -199,16 +188,16 @@ struct RelNameMap {
   std::map<std::string, RelIdSet> sets;
 };
 
-/// One catalog slot per secondary index. `erase_epoch` is the index's
-/// AttrIndex::erase_epoch captured at publish time — the staleness
-/// fence for snapshot probes (see AttrIndex).
+/// One secondary index: its definition and its entries, encoded key ->
+/// posting. Nulls are never indexed and empty postings are erased.
 struct IndexSlot {
-  std::shared_ptr<AttrIndex> index;
-  uint64_t erase_epoch = 0;
+  std::shared_ptr<const AttrIndex> index;
+  PMap<int64_t, std::shared_ptr<Posting>> postings;
 };
 
-/// Index name (upper) -> slot; copy-on-write wholesale (index DDL and
-/// erase-epoch refreshes are rare).
+/// Index name (upper) -> slot; the map copy-on-writes wholesale once
+/// per publish window (a handful of slots), the postings share
+/// structure.
 struct IndexMap {
   uint64_t gen = 0;
   std::map<std::string, IndexSlot> slots;
@@ -438,46 +427,44 @@ class Database {
   // Secondary attribute indexes (§5.2 as physical design).
   //
   // `define index <name> on <entity>(<attr>)` in the DDL lands here.
-  // Indexes are maintained inline by SetAttribute/DeleteEntity, are
-  // journaled (and so replayed/crash-recovered like any mutation), and
-  // are rebuilt from entity data on Restore — the snapshot stores only
-  // the definitions.
+  // Index entries are posting lists inside Tables, maintained inline by
+  // SetAttribute/DeleteEntity and published with the data they index.
+  // Index DDL is journaled (and so replayed/crash-recovered like any
+  // mutation); the snapshot stores only the definitions and Restore
+  // rebuilds the entries from entity data.
   // ------------------------------------------------------------------
 
-  /// Creates a B+tree index over one attribute and backfills it from
-  /// existing entities. Mutator (exclusive latch); journaled.
+  /// Creates an index over one attribute and backfills it from existing
+  /// entities. Mutator (exclusive latch); journaled.
   Status DefineIndex(AttrIndexDef def);
   /// Drops the named index. Mutator (exclusive latch); journaled.
   /// Pinned snapshots keep probing their copy of the dropped index.
   Status DestroyIndex(const std::string& name);
   /// All index definitions, in case-normalized name order.
   std::vector<AttrIndexDef> AttrIndexDefs() const;
-  /// The live index on (entity type, attribute), or nullptr when none
-  /// exists, the ablation switch is off, or a bulk index load is in
-  /// progress (the trees are stale then). The planner calls this at
-  /// plan time; the pointer stays valid for the whole statement (index
-  /// DDL needs the exclusive latch, and pinned snapshots co-own the
-  /// index).
+  /// The index on (entity type, attribute) in the tables this thread
+  /// reads, or nullptr when none exists or the ablation switch is off.
+  /// The planner calls this at plan time; the pointer stays valid for
+  /// the whole statement (index DDL needs the exclusive latch, and
+  /// pinned snapshots co-own the index).
   const AttrIndex* FindAttrIndex(std::string_view entity_type,
                                  std::string_view attr) const;
   const AttrIndex* FindAttrIndexByName(std::string_view name) const;
-  /// Candidate entities whose `attr` may equal `key`, in id order.
-  /// String/rational keys are hash-encoded, so collisions are possible:
-  /// callers must re-check the predicate per candidate (the planner
-  /// keeps the conjunct in the filter list). `key` must not be null —
-  /// nulls are never indexed; probe a null key by falling back to a
-  /// full scan (null == null is true under Value::Compare). Under a
-  /// SnapshotReadScope the candidates are filtered to entities that
-  /// exist in the snapshot, and a tree that has erased entries since
-  /// the snapshot was published degrades to a scan-shaped candidate
-  /// list (every id of the type) — correct either way, the conjunct
-  /// re-check does the rest.
+  /// The entities whose `attr` encodes to the same key as `key`, in id
+  /// order, as of the tables this thread reads (live or pinned). Int,
+  /// bool, ref and integral float keys are exact; string/rational keys
+  /// are hash-encoded, so collisions are possible and callers must
+  /// re-check the predicate per candidate (the planner keeps the
+  /// conjunct in the filter list). `key` must not be null — nulls are
+  /// never indexed; probe a null key by falling back to a full scan
+  /// (null == null is true under Value::Compare). `index` must come
+  /// from FindAttrIndex/FindAttrIndexByName on the same tables.
   std::vector<EntityId> IndexLookup(const AttrIndex& index,
                                     const rel::Value& key) const;
 
   /// Ablation switch: when off, FindAttrIndex returns nullptr so every
   /// plan falls back to full scans. Maintenance continues either way
-  /// (the trees stay consistent for re-enabling). Exposed for
+  /// (the entries stay consistent for re-enabling). Exposed for
   /// bench_s52_attr_index; toggling counts as a mutation.
   void EnableAttrIndex(bool on) {
     attr_index_enabled_.store(on, std::memory_order_relaxed);
@@ -489,19 +476,6 @@ class Database {
     return attr_stats_.Snapshot();
   }
   void ResetAttrIndexStats() { attr_stats_.Reset(); }
-
-  /// Bulk index load (the corpus-loader fast path): between Begin and
-  /// End, per-mutation index maintenance is suspended and FindAttrIndex
-  /// reports no indexes (stale trees must not serve probes); End
-  /// rebuilds every tree from the entity data in one backfill pass per
-  /// index and returns how many trees were rebuilt. Both are mutators
-  /// (exclusive latch). Durability is unaffected: the journal logs the
-  /// data ops, and recovery re-backfills indexes anyway.
-  void BeginBulkIndexLoad();
-  Result<uint64_t> EndBulkIndexLoad();
-  bool bulk_index_load_active() const {
-    return bulk_index_load_.load(std::memory_order_relaxed);
-  }
 
   // ------------------------------------------------------------------
   // Snapshot reads (docs/WRITEPATH.md).
@@ -633,9 +607,11 @@ class Database {
   RelNameMap* MutableRelsByName();
   IndexMap* MutableIndexes();
   OrdState* MutableOrd(size_t index);
-  /// The mutable sibling vector of `parent` in `ord` (created empty if
-  /// absent), cloned first if shared with a snapshot.
-  Sibs* MutableSibs(OrdState* ord, EntityId parent);
+  /// The mutable id list under `key` in `lists` (created empty if
+  /// absent), cloned first if shared with a snapshot: the Sibs of one
+  /// parent in an ordering, or the Posting of one index key.
+  template <typename K>
+  IdList* MutableIdList(PMap<K, std::shared_ptr<IdList>>* lists, K key);
 
   Result<const OrderingDef*> ResolveOrdering(const std::string& name) const;
   // Core mutators shared by the public API and journal replay.
@@ -659,9 +635,9 @@ class Database {
                       const rel::Value& old_value,
                       const rel::Value& new_value);
   void AttrIndexOnDelete(const EntityRecord& rec);
-  // Re-captures AttrIndex::erase_epoch into the IndexSlots before a
-  // publish, when any erase happened since the last one.
-  void RefreshIndexEpochs();
+  // Adds `id` to / removes it from the posting of `key` in `slot`.
+  void PostingInsert(IndexSlot* slot, int64_t key, EntityId id);
+  void PostingErase(IndexSlot* slot, int64_t key, EntityId id);
 
   // Relaxed-atomic twin of OrderingIndexStats: bumped by concurrent
   // readers (index lookups run under the shared latch or a snapshot).
@@ -762,8 +738,6 @@ class Database {
   mutable AtomicOrderingIndexStats index_stats_;
   std::atomic<bool> attr_index_enabled_{true};
   mutable AtomicAttrIndexStats attr_stats_;
-  std::atomic<bool> bulk_index_load_{false};
-  bool attr_erase_dirty_ = false;
 
   storage::WalWriter* wal_ = nullptr;
   CommitCoordinator* coordinator_ = nullptr;

@@ -306,6 +306,13 @@ void Server::ServeConnection(uint64_t id, int fd) {
   // Per-loop actuals cost two clock reads per loop entry; pay them
   // only when a slow-query log wants the attribution.
   if (opts_.slow_query_log != nullptr) session.set_collect_actuals(true);
+  // Counts one answered Execute request. Called before the reply's
+  // first frame is written, so a client holding its reply already sees
+  // the request in /metrics and /statusz.
+  auto count_request = [&] {
+    requests_total_->Inc();
+    requests_.fetch_add(1, std::memory_order_relaxed);
+  };
   bool saw_frame = false;  // handshake allowance until the first frame
   auto last_activity = std::chrono::steady_clock::now();
   while (true) {
@@ -395,6 +402,7 @@ void Server::ServeConnection(uint64_t id, int fd) {
       bool write_ok = true;
       if (!breq.ok()) {
         finished = breq.status();
+        count_request();
       } else {
         {
           std::lock_guard<std::mutex> lock(state->mu);
@@ -419,6 +427,8 @@ void Server::ServeConnection(uint64_t id, int fd) {
           obs::Span span("net.request", request_span_duration_,
                          request_span_self_);
           Result<BatchResult> br = RunBatch(db_, &session, breq->scripts);
+          count_request();
+          state->requests.fetch_add(1, std::memory_order_relaxed);
           if (!br.ok()) {
             finished = br.status();
           } else if (deadline_ms != 0 && ElapsedMs(t0) > deadline_ms) {
@@ -443,7 +453,6 @@ void Server::ServeConnection(uint64_t id, int fd) {
             }
           }
         }
-        state->requests.fetch_add(1, std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> lock(state->mu);
           state->statement.clear();
@@ -454,8 +463,6 @@ void Server::ServeConnection(uint64_t id, int fd) {
         if (opts_.slow_query_log != nullptr) (void)session.TakeLastActuals();
       }
       active_statements_.fetch_sub(1);
-      requests_total_->Inc();
-      requests_.fetch_add(1, std::memory_order_relaxed);
       if (!write_ok) break;
       if (!finished.ok()) {
         if (!send_frame(EncodeErrorFrame(finished))) break;
@@ -471,6 +478,7 @@ void Server::ServeConnection(uint64_t id, int fd) {
     uint64_t rows_affected = 0;
     if (!req.ok()) {
       finished = req.status();
+      count_request();
     } else {
       {
         std::lock_guard<std::mutex> lock(state->mu);
@@ -493,6 +501,8 @@ void Server::ServeConnection(uint64_t id, int fd) {
         obs::Span span("net.request", request_span_duration_,
                        request_span_self_);
         Result<quel::ResultSet> rs = RunScript(db_, &session, req->script);
+        count_request();
+        state->requests.fetch_add(1, std::memory_order_relaxed);
         if (!rs.ok()) {
           finished = rs.status();
         } else if (deadline_ms != 0 && ElapsedMs(t0) > deadline_ms) {
@@ -517,7 +527,6 @@ void Server::ServeConnection(uint64_t id, int fd) {
           }
         }
       }
-      state->requests.fetch_add(1, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(state->mu);
         state->statement.clear();
@@ -548,8 +557,6 @@ void Server::ServeConnection(uint64_t id, int fd) {
       }
     }
     active_statements_.fetch_sub(1);
-    requests_total_->Inc();
-    requests_.fetch_add(1, std::memory_order_relaxed);
     if (!write_ok) break;
     if (!finished.ok()) {
       if (!send_frame(EncodeErrorFrame(finished))) break;

@@ -17,6 +17,8 @@
 #include "darms/darms.h"
 #include "er/database.h"
 #include "net/connection.h"
+#include "obs/metrics.h"
+#include "quel/quel.h"
 
 namespace mdm::corpus {
 namespace {
@@ -181,6 +183,46 @@ TEST(CorpusLoaderTest, ModelsAgreeWithDatabase) {
   EXPECT_NE(db.FindAttrIndexByName("idx_score_title"), nullptr);
   EXPECT_NE(db.FindAttrIndexByName("idx_note_midi_key"), nullptr);
   EXPECT_NE(db.FindAttrIndexByName("idx_entry_incipit"), nullptr);
+}
+
+TEST(CorpusLoaderTest, SnapshotIndexProbeIsExactRightAfterLoad) {
+  er::Database db;
+  LoadOptions options;
+  options.spec.seed = 5;
+  options.spec.scores = 4;
+  options.spec.target_total_notes = 400;
+  auto corpus = LoadCorpus(&db, options);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  const int key = corpus->tenants[0].keys[0];
+  int64_t hits = 0;
+  for (const TenantModel& t : corpus->tenants) {
+    auto it = t.key_count.find(key);
+    if (it != t.key_count.end()) hits += it->second;
+  }
+
+  // The first read after the load is served lock-free from the last
+  // published snapshot, and its index probe enumerates only the hits.
+  obs::Registry* reg = obs::Registry::Global();
+  obs::Counter* pin_fallbacks =
+      reg->GetCounter("mdm_er_snapshot_pin_fallbacks_total");
+  obs::Counter* snapshot_reads =
+      reg->GetCounter("mdm_quel_snapshot_reads_total");
+  const uint64_t fallbacks_before = pin_fallbacks->value();
+  const uint64_t reads_before = snapshot_reads->value();
+  Connection conn = Connection::Local(&db);
+  conn.local_session()->set_collect_actuals(true);
+  auto rs = conn.Execute(
+      "range of n is NOTE retrieve (c = count(n)) where n.midi_key = " +
+      std::to_string(key));
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->At(0, 0).AsInt(), hits);
+  quel::StatementActuals actuals = conn.local_session()->TakeLastActuals();
+  ASSERT_EQ(actuals.loops.size(), 1u);
+  EXPECT_EQ(actuals.loops[0].var, "n");
+  EXPECT_EQ(actuals.loops[0].rows_in, static_cast<uint64_t>(hits));
+  EXPECT_EQ(pin_fallbacks->value() - fallbacks_before, 0u);
+  // Both statements of the script (range, retrieve) read a snapshot.
+  EXPECT_EQ(snapshot_reads->value() - reads_before, 2u);
 }
 
 TEST(CorpusLoaderTest, IncipitCountsCoverAllScores) {

@@ -2,7 +2,8 @@
 // trip, planner probe selection with explain goldens (including the
 // footnote 3 wrong-key fallback), index-nested-loop `is` joins,
 // maintenance under update/delete, null-key scan fallback, seeded
-// ablation-equivalence fuzz, journal replay + snapshot round trip,
+// ablation-equivalence fuzz, snapshot-exact probes under pinned
+// snapshots, journal replay + snapshot round trip,
 // power-cut-sim consistency, meta-schema cataloguing, obs metrics, and
 // Local/Remote DDL parity.
 #include <gtest/gtest.h>
@@ -10,13 +11,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "ddl/parser.h"
 #include "er/database.h"
 #include "er/persist.h"
@@ -34,15 +39,40 @@ using er::AttrIndexDef;
 using er::EntityId;
 using rel::Value;
 
+/// The number of posting entries of index `name` in `db`'s tables
+/// (published first, so direct-API writes count), checking the posting
+/// invariants on the way: no empty posting, ids strictly ascending.
+uint64_t PostingEntries(er::Database& db, const std::string& name) {
+  db.PublishSnapshot();
+  std::shared_ptr<const er::Tables> tables = db.TryPinSnapshot();
+  EXPECT_NE(tables, nullptr);
+  if (tables == nullptr) return 0;
+  auto slot = tables->indexes->slots.find(AsciiUpper(name));
+  EXPECT_NE(slot, tables->indexes->slots.end()) << name;
+  if (slot == tables->indexes->slots.end()) return 0;
+  uint64_t entries = 0;
+  slot->second.postings.ForEach(
+      [&](int64_t key, const std::shared_ptr<er::Posting>& posting) {
+        const std::vector<EntityId>& ids = posting->ids;
+        EXPECT_FALSE(ids.empty()) << name << " key " << key;
+        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(),
+                                     std::greater_equal<EntityId>()),
+                  ids.end())
+            << name << " key " << key << ": ids not strictly ascending";
+        entries += ids.size();
+        return true;
+      });
+  return entries;
+}
+
 /// Every index must agree exactly with a full scan: each entity whose
 /// attribute compares equal to its own stored value is reachable
-/// through IndexLookup, and the tree holds one entry per non-null
+/// through IndexLookup, and the postings hold one entry per non-null
 /// value (hash collisions make lookups supersets, never subsets).
-void ValidateIndexConsistency(const er::Database& db) {
+void ValidateIndexConsistency(er::Database& db) {
   for (const AttrIndexDef& def : db.AttrIndexDefs()) {
     const AttrIndex* ix = db.FindAttrIndexByName(def.name);
     ASSERT_NE(ix, nullptr) << def.name;
-    ASSERT_TRUE(ix->tree.CheckInvariants().ok()) << def.name;
     uint64_t non_null = 0;
     ASSERT_TRUE(db.ForEachEntity(def.entity_type, [&](EntityId id) {
                     auto v = db.GetAttribute(id, def.attr);
@@ -57,7 +87,7 @@ void ValidateIndexConsistency(const er::Database& db) {
                     return true;
                   })
                     .ok());
-    EXPECT_EQ(ix->tree.size(), non_null) << def.name;
+    EXPECT_EQ(PostingEntries(db, def.name), non_null) << def.name;
   }
 }
 
@@ -136,7 +166,7 @@ TEST_F(IndexDdlTest, BackfillIndexesExistingEntities) {
   ASSERT_TRUE(db_.DefineIndex({"note_name", "NOTE", "name"}).ok());
   const AttrIndex* ix = db_.FindAttrIndexByName("note_name");
   ASSERT_NE(ix, nullptr);
-  EXPECT_EQ(ix->tree.size(), 10u);
+  EXPECT_EQ(PostingEntries(db_, "note_name"), 10u);
   EXPECT_GE(db_.attr_index_stats().rebuilds, 1u);
   ValidateIndexConsistency(db_);
 }
@@ -318,7 +348,7 @@ TEST_F(IndexPlanTest, MaintenanceAcrossUpdateAndDelete) {
   ASSERT_TRUE(
       conn.Execute("range of n is NOTE\ndelete n where n.name = 21").ok());
   EXPECT_TRUE(db_.IndexLookup(*ix, Value::Int(21)).empty());
-  EXPECT_EQ(ix->tree.size(), 4u);
+  EXPECT_EQ(PostingEntries(db_, "note_name"), 4u);
   er::AttrIndexStats stats = db_.attr_index_stats();
   EXPECT_GT(stats.inserts, 0u);
   EXPECT_GT(stats.erases, 0u);
@@ -397,7 +427,7 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
       create("NOTE", &notes);
     } else if (dice < 0.50 && !notes.empty()) {
       // Set or clear an attribute; small name domain forces duplicate
-      // keys and overwrite churn in the tree.
+      // keys and overwrite churn in the postings.
       auto [na, nb] = notes[rng.Uniform(notes.size())];
       if (rng.Bernoulli(0.5)) {
         Value v = rng.Bernoulli(0.15)
@@ -442,7 +472,7 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
     }
   }
   // The ablated database never answered through an index; the indexed
-  // one did. Both trees stayed consistent (maintenance is always on).
+  // one did. Both indexes stayed consistent (maintenance is always on).
   EXPECT_EQ(plain.attr_index_stats().lookups, 0u);
   EXPECT_GT(indexed.attr_index_stats().lookups, 0u);
   ValidateIndexConsistency(indexed);
@@ -451,6 +481,93 @@ TEST_P(AttrIndexAblationFuzz, IndexedAndAblatedStayEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AttrIndexAblationFuzz,
                          testing::Values(11u, 12u, 13u));
+
+// ----------------------------------------------------------------------
+// Snapshot-exact probes: the postings live in the copy-on-write tables,
+// so a pinned snapshot probes its own version of them. Under each pin,
+// IndexLookup must return exactly the ids that carried the key when
+// the pin was taken, in id order — not a later write, and not a
+// scan-shaped superset.
+// ----------------------------------------------------------------------
+
+class IndexSnapshotPropertyTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(IndexSnapshotPropertyTest, PinnedProbesReturnExactlyThePinnedIds) {
+  constexpr int64_t kKeys = 5;
+  er::Database db;
+  ASSERT_TRUE(ddl::ExecuteDdl(R"(
+    define entity NOTE (name = integer)
+    define index note_name on NOTE(name)
+  )",
+                              &db)
+                  .ok());
+  // The model: entity -> its key (entities with a null name are absent).
+  using Model = std::map<EntityId, int64_t>;
+  Model key_of;
+  std::vector<EntityId> notes;
+  struct Pin {
+    std::shared_ptr<const er::Tables> tables;  // null: the live tables
+    Model key_of;
+  };
+  std::vector<Pin> pins;
+  auto check = [&](const Pin& pin) {
+    std::optional<er::SnapshotReadScope> scope;
+    if (pin.tables != nullptr) scope.emplace(&db, pin.tables);
+    const AttrIndex* ix = db.FindAttrIndexByName("note_name");
+    ASSERT_NE(ix, nullptr);
+    for (int64_t k = 0; k < kKeys; ++k) {
+      std::vector<EntityId> want;
+      for (const auto& [id, key] : pin.key_of)
+        if (key == k) want.push_back(id);
+      EXPECT_EQ(db.IndexLookup(*ix, Value::Int(k)), want) << "key " << k;
+    }
+  };
+
+  Rng rng(GetParam());
+  for (int op = 0; op < 600; ++op) {
+    SCOPED_TRACE(testing::Message() << "seed " << GetParam() << " op " << op);
+    const double dice = rng.NextDouble();
+    if (dice < 0.25 || notes.empty()) {
+      auto id = db.CreateEntity("NOTE");
+      ASSERT_TRUE(id.ok());
+      notes.push_back(*id);
+    } else if (dice < 0.65) {
+      EntityId id = notes[rng.Uniform(notes.size())];
+      const bool null = rng.Bernoulli(0.15);
+      const int64_t k = static_cast<int64_t>(rng.Uniform(kKeys));
+      ASSERT_TRUE(
+          db.SetAttribute(id, "name", null ? Value() : Value::Int(k)).ok());
+      if (null)
+        key_of.erase(id);
+      else
+        key_of[id] = k;
+    } else if (dice < 0.78) {
+      size_t slot = rng.Uniform(notes.size());
+      ASSERT_TRUE(db.DeleteEntity(notes[slot]).ok());
+      key_of.erase(notes[slot]);
+      notes.erase(notes.begin() + static_cast<std::ptrdiff_t>(slot));
+    } else if (dice < 0.80) {
+      // Drop and redefine: older pins keep probing the dropped index.
+      ASSERT_TRUE(db.DestroyIndex("note_name").ok());
+      ASSERT_TRUE(db.DefineIndex({"note_name", "NOTE", "name"}).ok());
+    } else {
+      db.PublishSnapshot();
+      std::shared_ptr<const er::Tables> tables = db.TryPinSnapshot();
+      ASSERT_NE(tables, nullptr);
+      pins.push_back({std::move(tables), key_of});
+      // Retire the oldest pins now and then; their versions drain.
+      if (pins.size() > 8) pins.erase(pins.begin());
+    }
+    if (op % 40 == 39)
+      for (const Pin& pin : pins) check(pin);
+  }
+  for (const Pin& pin : pins) check(pin);
+  check(Pin{nullptr, key_of});
+  ValidateIndexConsistency(db);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexSnapshotPropertyTest,
+                         testing::Values(21u, 22u, 23u));
 
 // ----------------------------------------------------------------------
 // Durability: journal replay, snapshot round trip, power-cut sim.
@@ -534,7 +651,7 @@ TEST(IndexDurabilityTest, SnapshotRoundTripPreservesIndexes) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_EQ(loaded->AttrIndexDefs().size(), 1u);
   EXPECT_EQ(loaded->AttrIndexDefs()[0].attr, "name");
-  // Trees are rebuilt on restore, not serialized.
+  // Postings are rebuilt on restore, not serialized.
   EXPECT_GE(loaded->attr_index_stats().rebuilds, 1u);
   ValidateIndexConsistency(*loaded);
   RemoveDbFiles(path);

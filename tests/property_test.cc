@@ -14,7 +14,6 @@
 #include "midi/midi.h"
 #include "mtime/tempo_map.h"
 #include "sound/sound.h"
-#include "storage/btree.h"
 
 namespace mdm {
 namespace {
@@ -205,33 +204,6 @@ TEST_P(RecursivePropertyTest, NoCycleEverForms) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RecursivePropertyTest,
                          testing::Values(5, 1987, 0xBAC4));
-
-// ----------------------------------------------------------------------
-// B+tree fan-out sweep.
-// ----------------------------------------------------------------------
-
-class BTreeFanoutTest : public testing::TestWithParam<int> {};
-
-TEST_P(BTreeFanoutTest, InvariantsAcrossFanouts) {
-  storage::BTree tree(static_cast<size_t>(GetParam()));
-  std::multimap<int64_t, uint64_t> model;
-  Rng rng(0x5EED);
-  for (int i = 0; i < 3000; ++i) {
-    int64_t key = rng.Range(-500, 500);
-    tree.Insert(key, static_cast<uint64_t>(i));
-    model.emplace(key, static_cast<uint64_t>(i));
-    if (i % 512 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok());
-    }
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  EXPECT_EQ(tree.size(), model.size());
-  for (int64_t probe = -500; probe <= 500; probe += 37)
-    EXPECT_EQ(tree.Find(probe).size(), model.count(probe)) << probe;
-}
-
-INSTANTIATE_TEST_SUITE_P(Fanouts, BTreeFanoutTest,
-                         testing::Values(4, 8, 32, 128, 512));
 
 // ----------------------------------------------------------------------
 // Tempo map: beats->seconds->beats round trip across random plans.

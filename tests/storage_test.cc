@@ -1,104 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/random.h"
-#include "storage/btree.h"
 #include "storage/wal.h"
 
 namespace mdm::storage {
 namespace {
-
-TEST(BTreeTest, InsertFindSmall) {
-  BTree tree(4);
-  tree.Insert(5, 10);
-  tree.Insert(3, 11);
-  tree.Insert(8, 12);
-  EXPECT_EQ(tree.size(), 3u);
-  auto hits = tree.Find(3);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], 11u);
-  EXPECT_TRUE(tree.Contains(8));
-  EXPECT_FALSE(tree.Contains(7));
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(BTreeTest, SplitsGrowHeight) {
-  BTree tree(4);
-  for (int64_t i = 0; i < 100; ++i) tree.Insert(i, static_cast<uint64_t>(i));
-  EXPECT_GT(tree.Height(), 1);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  for (int64_t i = 0; i < 100; ++i) EXPECT_TRUE(tree.Contains(i));
-}
-
-TEST(BTreeTest, DuplicateKeys) {
-  BTree tree(4);
-  for (uint64_t v = 0; v < 10; ++v) tree.Insert(42, v);
-  auto hits = tree.Find(42);
-  EXPECT_EQ(hits.size(), 10u);
-  // Erase a specific duplicate.
-  EXPECT_TRUE(tree.Erase(42, 4));
-  EXPECT_FALSE(tree.Erase(42, 4));
-  hits = tree.Find(42);
-  EXPECT_EQ(hits.size(), 9u);
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(BTreeTest, RangeScanOrderedAndBounded) {
-  BTree tree(8);
-  for (int64_t i = 100; i >= 0; --i)
-    tree.Insert(i * 2, static_cast<uint64_t>(i));  // even keys 0..200
-  std::vector<int64_t> keys;
-  tree.ScanRange(10, 30, [&](int64_t k, uint64_t) {
-    keys.push_back(k);
-    return true;
-  });
-  ASSERT_EQ(keys.size(), 11u);  // 10,12,...,30
-  EXPECT_EQ(keys.front(), 10);
-  EXPECT_EQ(keys.back(), 30);
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-}
-
-TEST(BTreeTest, PropertyAgainstMultimap) {
-  // Randomized property test: the tree behaves exactly like a sorted
-  // multimap under mixed inserts and erases.
-  Rng rng(2026);
-  BTree tree(6);
-  std::multimap<int64_t, uint64_t> model;
-  for (int step = 0; step < 5000; ++step) {
-    int64_t key = rng.Range(0, 200);
-    if (rng.Bernoulli(0.3) && !model.empty()) {
-      // Erase a random existing (key, value).
-      auto it = model.lower_bound(key);
-      if (it == model.end()) it = model.begin();
-      bool tree_erased = tree.Erase(it->first, it->second);
-      EXPECT_TRUE(tree_erased);
-      model.erase(it);
-    } else {
-      // Values far above 2^48: the tree stores them whole.
-      uint64_t value = (uint64_t{1} << 60) + static_cast<uint64_t>(step);
-      tree.Insert(key, value);
-      model.emplace(key, value);
-    }
-  }
-  EXPECT_EQ(tree.size(), model.size());
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  // Every model key is found with the same multiplicity.
-  for (int64_t k = 0; k <= 200; ++k) {
-    EXPECT_EQ(tree.Find(k).size(), model.count(k)) << "key " << k;
-  }
-  // Full scan matches the model ordering.
-  std::vector<int64_t> scanned;
-  tree.ScanAll([&](int64_t k, uint64_t) {
-    scanned.push_back(k);
-    return true;
-  });
-  std::vector<int64_t> expected;
-  for (const auto& [k, v] : model) expected.push_back(k);
-  EXPECT_EQ(scanned, expected);
-}
 
 TEST(WalTest, CommittedOpsReplayInOrder) {
   MemoryWalSink sink;

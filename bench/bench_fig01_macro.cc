@@ -229,17 +229,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   const uint16_t port = server.port();
-  // At corpus scale a scan-bound op can queue for minutes behind the db
-  // latch; the server's 30s interactive default deadline would reject
-  // the reply *after* a mutation applied (which the oracle then flags).
-  // A client-sent deadline overrides it per request, and mutations are
-  // never retried, so a 10-minute budget is safe.
-  mdm::net::ClientOptions remote_opts;
-  remote_opts.deadline_ms = 600'000;
   ok = RunPhase("remote", o, &remote_db.corpus,
-                [port, remote_opts] {
-                  return Connection::Remote("127.0.0.1", port, remote_opts);
-                }) &&
+                [port] { return Connection::Remote("127.0.0.1", port); }) &&
        ok;
   server.Stop();
   remote_db.db.reset();

@@ -2,7 +2,9 @@
 // latency against chord size and database size, and two DESIGN.md
 // evaluation-strategy ablations: conjunct push-down versus the naive
 // full cross product, and the ordering index (sibling ranks + Euler
-// intervals) versus the unindexed linear-scan/parent-walk path.
+// intervals) versus the unindexed linear-scan/parent-walk path. A
+// deterministic work gate checks that an `under` loop with its parent
+// bound reads only that parent's children (exit 1 otherwise).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -259,6 +261,51 @@ void EmitBeforeAfterJson() {
               before_scan / before_idx, under_walk / under_idx);
 }
 
+// The ordering access path's work gate, emitted as one JSON object: an
+// A2-shaped count (`count(n) where n under c and c.name = K`) over many
+// chords, planned versus naive, in rows scanned. The counts are exact,
+// so noise cannot move them. Returns false when the planned NOTE loop
+// reads more rows than the chord has children, i.e. when the loop fell
+// back to scanning the type.
+bool EmitOrderingPathJson() {
+  constexpr int kChords = 100;
+  constexpr int kNotesPerChord = 20;
+  constexpr const char* kCountQuery = R"(
+    range of n is NOTE
+    range of c is CHORD
+    retrieve (k = count(n)) where n under c in note_in_chord and c.name = 50
+  )";
+  Database db = MakeChordDb(kChords, kNotesPerChord);
+  mdm::quel::QuelSession session(&db);
+  session.set_collect_actuals(true);
+  // Rows scanned by one run of the count, checking its answer.
+  auto rows_scanned = [&](bool planned) {
+    const uint64_t before = session.stats().rows_scanned;
+    auto rs = planned ? session.Execute(kCountQuery)
+                      : session.ExecuteNaive(kCountQuery);
+    if (!rs.ok() || rs->At(0, 0).AsInt() != kNotesPerChord) std::abort();
+    return session.stats().rows_scanned - before;
+  };
+  const uint64_t naive = rows_scanned(false);
+  const uint64_t planned = rows_scanned(true);
+  uint64_t planned_note_rows = 0;
+  for (const auto& loop : session.TakeLastActuals().loops)
+    if (loop.var == "n") planned_note_rows = loop.rows_in;
+  std::printf(
+      "BENCH_JSON {\"bench\": \"s56_quel_ordering_path\", "
+      "\"scale\": {\"chords\": %d, \"notes_per_chord\": %d}, \"results\": ["
+      "{\"op\": \"under_count\", \"planned_rows_scanned\": %llu, "
+      "\"naive_rows_scanned\": %llu, \"planned_note_rows\": %llu, "
+      "\"children\": %d}]}\n",
+      kChords, kNotesPerChord, (unsigned long long)planned,
+      (unsigned long long)naive, (unsigned long long)planned_note_rows,
+      kNotesPerChord);
+  std::printf("gate (planned NOTE loop reads <= the chord's %d children): "
+              "%llu rows\n\n",
+              kNotesPerChord, (unsigned long long)planned_note_rows);
+  return planned_note_rows <= static_cast<uint64_t>(kNotesPerChord);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -277,6 +324,10 @@ int main(int argc, char** argv) {
   std::printf("expect: push-down ~linear in notes; naive cross product\n"
               "quadratic (the gap widens with database size).\n\n");
   EmitBeforeAfterJson();
+  if (!EmitOrderingPathJson()) {
+    std::printf("FAIL: the planned under-loop scanned the NOTE type\n");
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (!smoke) benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1223,6 +1223,49 @@ Result<bool> Database::Under(const std::string& ordering, EntityId child,
   return Under(h, child, parent);
 }
 
+Result<std::vector<EntityId>> Database::OrderedCandidates(
+    OrderingHandle h, OrderedSpan span, EntityId anchor,
+    std::string_view type) const {
+  const Tables& t = ReadTables();
+  const std::vector<EntityTypeDef>& types = t.schema->schema.entity_types();
+  uint32_t type_index = 0;
+  while (type_index < types.size() &&
+         !EqualsIgnoreCase(types[type_index].name, type))
+    ++type_index;
+  if (type_index == types.size())
+    return NotFound("no entity type named " + std::string(type));
+  const OrdState& ord = *t.orderings[h.index()];
+  std::vector<EntityId> out;
+  auto keep = [&](EntityId id) {
+    const std::shared_ptr<EntityRecord>* rec = t.entities.Find(id);
+    if (rec != nullptr && (*rec)->type_index == type_index) out.push_back(id);
+  };
+  if (span == OrderedSpan::kDescendants) {
+    // Iterative: recursion depth is unbounded in recursive orderings.
+    std::vector<EntityId> stack = {anchor};
+    while (!stack.empty()) {
+      const std::shared_ptr<Sibs>* kids = ord.children.Find(stack.back());
+      stack.pop_back();
+      if (kids == nullptr) continue;
+      for (EntityId kid : (*kids)->ids) {
+        keep(kid);
+        stack.push_back(kid);
+      }
+    }
+  } else if (const EntityId* parent = ord.parent_of.Find(anchor)) {
+    const std::vector<EntityId>& sibs = (*ord.children.Find(*parent))->ids;
+    auto at = std::find(sibs.begin(), sibs.end(), anchor);
+    if (at != sibs.end()) {
+      if (span == OrderedSpan::kBefore)
+        std::for_each(sibs.begin(), at, keep);
+      else
+        std::for_each(at + 1, sibs.end(), keep);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // Secondary attribute indexes (§5.2 as physical design).
 // ---------------------------------------------------------------------

@@ -405,6 +405,22 @@ class Database {
                      EntityId parent) const;
   Result<bool> Under(OrderingHandle h, EntityId child, EntityId parent) const;
 
+  /// The entities of entity type `type` that satisfy an ordering
+  /// predicate against a fixed `anchor` in ordering `h`, in ascending id
+  /// (= creation) order, the order ForEachEntity visits them in. This is
+  /// the planner's ordering access path (paper §5.2): a loop over x in
+  /// `x under anchor` enumerates kDescendants (every depth, as Under
+  /// reads it), `x before anchor` kBefore (the prefix of anchor's
+  /// sibling list) and `x after anchor` kAfter (the suffix). Reads only
+  /// the children/parent_of edges of the tables this thread reads, live
+  /// or pinned, so it is exact for any snapshot and never touches the
+  /// rank or interval indexes.
+  enum class OrderedSpan { kDescendants, kBefore, kAfter };
+  Result<std::vector<EntityId>> OrderedCandidates(OrderingHandle h,
+                                                  OrderedSpan span,
+                                                  EntityId anchor,
+                                                  std::string_view type) const;
+
   /// Ablation switch for the §5.6 structural indexes. When disabled,
   /// Before/After fall back to linear sibling scans and Under to an
   /// upward P-edge walk (semantics are identical; only the cost

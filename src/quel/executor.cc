@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <shared_mutex>
 
@@ -278,18 +279,31 @@ class NestedLoopJoin {
 
  private:
   Status Descend(size_t depth) {
-    if (actual_ == nullptr) return DescendImpl(depth);
+    if (actual_ == nullptr) return DescendImpl(depth, nullptr);
+    using Clock = std::chrono::steady_clock;
     ++actual_->calls[depth];
-    auto t0 = std::chrono::steady_clock::now();
-    Status s = DescendImpl(depth);
-    actual_->inclusive_ns[depth] += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    const Clock::time_point t0 = Clock::now();
+    std::optional<Clock::time_point> passed_at;
+    Status s = DescendImpl(depth, &passed_at);
+    const Clock::time_point t1 = Clock::now();
+    auto ns = [t0](Clock::time_point t) {
+      return static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t - t0)
+              .count());
+    };
+    actual_->inclusive_ns[depth] += ns(t1);
+    // Entering the depth is timed apart from what follows, so explain
+    // analyze charges these filters to the loop they are printed under;
+    // a binding the filters reject costs only its entry.
+    actual_->entry_ns[depth] += ns(passed_at.value_or(t1));
     return s;
   }
 
-  Status DescendImpl(size_t depth) {
+  // `passed_at` (explain analyze only) receives the time the binding
+  // passed this depth's filters.
+  Status DescendImpl(
+      size_t depth,
+      std::optional<std::chrono::steady_clock::time_point>* passed_at) {
     // Evaluate conjuncts that became fully bound at this depth.
     Evaluator eval(db_, &bindings_, &plan_->order_handles);
     for (const PlannedConjunct& c : plan_->conjuncts) {
@@ -301,11 +315,29 @@ class NestedLoopJoin {
       MDM_ASSIGN_OR_RETURN(bool pass, eval.Test(*c.qual));
       if (!pass) return Status::OK();
     }
-    if (actual_ != nullptr) ++actual_->passed[depth];
+    if (actual_ != nullptr) {
+      *passed_at = std::chrono::steady_clock::now();
+      ++actual_->passed[depth];
+    }
     if (depth == plan_->vars.size()) return (*emit_)(bindings_);
     const PlannedVar& var = plan_->vars[depth];
     const std::string& key = var.name;  // already lowercased by the planner
     Status inner;
+    // Binds each candidate in turn (ascending id, so rows come out in
+    // the type scan's order) and descends; stops at the first error.
+    auto enumerate = [&](const std::vector<EntityId>& candidates) {
+      for (EntityId id : candidates) {
+        if (stats_ != nullptr) {
+          stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
+          QuelCounters::Get().rows_scanned->Inc();
+        }
+        Binding b;
+        b.entity = id;
+        bindings_[key] = b;
+        inner = Descend(depth + 1);
+        if (!inner.ok()) break;
+      }
+    };
     if (var.is_relationship) {
       MDM_RETURN_IF_ERROR(db_->ForEachRelationship(
           var.type, [&](const RelationshipInstance& ri) {
@@ -337,18 +369,18 @@ class NestedLoopJoin {
                            IndexProbeSelf());
             candidates = db_->IndexLookup(*var.index, probe_key);
           }
-          for (EntityId id : candidates) {
-            if (stats_ != nullptr) {
-              stats_->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-              QuelCounters::Get().rows_scanned->Inc();
-            }
-            Binding b;
-            b.entity = id;
-            bindings_[key] = b;
-            inner = Descend(depth + 1);
-            if (!inner.ok()) break;
-          }
+          enumerate(candidates);
         }
+      } else if (var.ordering != nullptr) {
+        // Ordering-backed loop: the anchor is bound by an outer loop, so
+        // only the entities the driving conjunct can accept are visited.
+        probed = true;
+        MDM_ASSIGN_OR_RETURN(
+            std::vector<EntityId> candidates,
+            db_->OrderedCandidates(var.ordering_handle, var.ordering_span,
+                                   bindings_.at(var.ordering_anchor).entity,
+                                   var.type));
+        enumerate(candidates);
       }
       if (!probed) {
         MDM_RETURN_IF_ERROR(db_->ForEachEntity(var.type, [&](EntityId id) {

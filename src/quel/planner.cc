@@ -211,6 +211,46 @@ void SelectIndexProbe(
   }
 }
 
+/// Picks an ordering access path for entity loop `var` when no index
+/// probe applies: the first top-level conjunct `var under p`,
+/// `var before y` or `var after y` (before/after with var on either
+/// side) whose other operand is bound by an outer loop. Ancestors are
+/// never enumerated, so `p under var` keeps the scan. The conjunct stays
+/// in the filter list, as an index probe's does.
+void SelectOrderingPath(const Plan& plan,
+                        const std::vector<const Qual*>& conjuncts,
+                        const std::set<std::string>& bound,
+                        PlannedVar* var) {
+  using Span = Database::OrderedSpan;
+  for (const Qual* c : conjuncts) {
+    if (c->kind != Qual::Kind::kOrder) continue;
+    const std::string v1 = AsciiLower(c->order_var1);
+    const std::string v2 = AsciiLower(c->order_var2);
+    if (v1 == v2) continue;
+    const bool first = v1 == var->name;
+    if (!first && v2 != var->name) continue;
+    const std::string& anchor = first ? v2 : v1;
+    if (bound.count(anchor) == 0) continue;
+    Span span = Span::kDescendants;
+    switch (c->order_op) {
+      case OrderOp::kUnder:
+        if (!first) continue;
+        break;
+      case OrderOp::kBefore:
+        span = first ? Span::kBefore : Span::kAfter;
+        break;
+      case OrderOp::kAfter:
+        span = first ? Span::kAfter : Span::kBefore;
+        break;
+    }
+    var->ordering = c;
+    var->ordering_handle = plan.order_handles.at(c);
+    var->ordering_span = span;
+    var->ordering_anchor = anchor;
+    return;
+  }
+}
+
 /// Renders a qualification; with a database + plan, ordering operators
 /// carry their resolved ordering names and index annotations (the
 /// explain output). Both may be null for a plain deparse.
@@ -355,16 +395,25 @@ Result<Plan> PlanQuery(Database* db,
   for (const PlannedVar& var : plan.vars)
     types[var.name] = {var.type, var.is_relationship};
 
-  // Index probe selection, in loop order: each entity loop may be
+  // Bind every ordering operator to a resolved handle, once.
+  if (stmt.qual != nullptr)
+    MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *stmt.qual, &plan));
+
+  // Access-path selection, in loop order: each entity loop may be
   // driven by an equality conjunct whose key side is bound by outer
   // loops (index selection for literal keys, index-nested-loop join for
-  // outer-variable keys). Runs after the sort so "bound" is final; the
-  // naive plan never probes — it is the ablation baseline.
+  // outer-variable keys), else by an ordering conjunct whose other
+  // operand is bound. Runs after the sort so "bound" is final; the
+  // naive plan never uses either — it is the filter-only ablation
+  // baseline.
   if (pushdown) {
     std::set<std::string> bound;
     for (PlannedVar& var : plan.vars) {
-      if (!var.is_relationship)
+      if (!var.is_relationship) {
         SelectIndexProbe(db, types, conjuncts, bound, &var);
+        if (var.index == nullptr)
+          SelectOrderingPath(plan, conjuncts, bound, &var);
+      }
       bound.insert(var.name);
     }
   }
@@ -386,10 +435,6 @@ Result<Plan> PlanQuery(Database* db,
     }
     plan.conjuncts.push_back(pc);
   }
-
-  // Bind every ordering operator to a resolved handle, once.
-  if (stmt.qual != nullptr)
-    MDM_RETURN_IF_ERROR(BindOrderHandles(db, types, *stmt.qual, &plan));
   return plan;
 }
 
@@ -427,13 +472,25 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
     if (var.index != nullptr)
       out += StrFormat(" via index %s(%s)", var.index->def.name.c_str(),
                        var.index->def.attr.c_str());
+    if (var.ordering != nullptr) {
+      const char* span = "descendants of";
+      if (var.ordering_span == Database::OrderedSpan::kBefore)
+        span = "siblings before";
+      else if (var.ordering_span == Database::OrderedSpan::kAfter)
+        span = "siblings after";
+      out += StrFormat(" via ordering %s (%s %s)",
+                       db.ordering_def(var.ordering_handle).name.c_str(),
+                       span, var.ordering_anchor.c_str());
+    }
     if (actual != nullptr) {
-      // Self time of loop v+1: everything spent at depth v (its filter
-      // gate plus the enumeration) minus the time handed to depth v+1.
-      uint64_t self = actual->inclusive_ns[v] >= actual->inclusive_ns[v + 1]
-                          ? actual->inclusive_ns[v] -
-                                actual->inclusive_ns[v + 1]
-                          : 0;
+      // Self time of loop v+1 (AnalyzeStats): what depth v spent
+      // enumerating it — depth v's total minus its own entry and the
+      // time handed to depth v+1 — plus the depth-(v+1) entry, whose
+      // filters are printed under this loop. Loop 1 keeps the constant
+      // gate.
+      uint64_t self = actual->inclusive_ns[v] - actual->inclusive_ns[v + 1] +
+                      actual->entry_ns[v + 1] -
+                      (v == 0 ? 0 : actual->entry_ns[v]);
       out += StrFormat(" [actual: in=%llu out=%llu, self=%lluns]",
                        (unsigned long long)actual->calls[v + 1],
                        (unsigned long long)actual->passed[v + 1],
@@ -453,9 +510,13 @@ std::string RenderPlan(const Database& db, const Statement& stmt,
     out += " " + AsciiLower(stmt.update_var);
   }
   if (actual != nullptr) {
+    // Emit: what depth N spent past its entry (with no loops, the
+    // constant gate too).
+    uint64_t emit = actual->inclusive_ns[levels] -
+                    (levels == 0 ? 0 : actual->entry_ns[levels]);
     out += StrFormat(" [actual: rows=%llu, time=%lluns]",
                      (unsigned long long)actual->passed[levels],
-                     (unsigned long long)actual->inclusive_ns[levels]);
+                     (unsigned long long)emit);
   }
   out += "\n";
   if (actual != nullptr) {

@@ -35,6 +35,20 @@ struct PlannedVar {
   // / database and are valid for the statement's execution.
   const er::AttrIndex* index = nullptr;
   const Expr* index_key = nullptr;
+  // Ordering-backed enumeration (paper §5.2), taken only when no index
+  // probe applies: a top-level conjunct `var under p`, `var before y` or
+  // `var after y` (before/after with var on either side) whose other
+  // operand `ordering_anchor` is bound by an outer loop. The loop then
+  // enumerates er::Database::OrderedCandidates (the anchor's
+  // descendants, or the prefix/suffix of its sibling list) instead of
+  // scanning the type. As with index probes, the conjunct stays in the
+  // filter list. nullptr = not ordering-driven; the Qual borrows from
+  // the statement AST.
+  const Qual* ordering = nullptr;
+  er::OrderingHandle ordering_handle;
+  er::Database::OrderedSpan ordering_span =
+      er::Database::OrderedSpan::kDescendants;
+  std::string ordering_anchor;  // lowercased variable name
 };
 
 /// One top-level AND conjunct: evaluated as soon as the first `depth`
@@ -73,22 +87,28 @@ std::string ExplainPlan(const er::Database& db, const Statement& stmt,
 /// Actual row counts and timings collected while executing an
 /// `explain analyze` statement. Index k of each vector is loop depth k:
 /// depth 0 is the constant gate before any loop, depth k >= 1 is entered
-/// once per binding enumerated by loop k. All three vectors have
+/// once per binding enumerated by loop k. All vectors have
 /// plan.vars.size() + 1 entries.
 ///
-/// Invariant used by the renderer: inclusive_ns[k] covers everything at
-/// depth k and below, so the self time of loop k is
-/// inclusive_ns[k-1] - inclusive_ns[k], and the loop self times plus the
-/// emit time (inclusive_ns[N]) sum exactly to inclusive_ns[0].
+/// Invariants used by the renderer: inclusive_ns[k] covers everything at
+/// depth k and below; entry_ns[k] is the part of it spent entering depth
+/// k (binding setup and the depth-k filter gate, all of it for a binding
+/// the filters reject), before any deeper depth runs. Loop k (k >= 1) is charged what depth k-1 spent
+/// enumerating it plus entry_ns[k], the per-row cost of its bindings,
+/// whose filters explain prints under it; loop 1 also carries the
+/// constant gate. Emit is what remains at depth N. So the loop self
+/// times plus the emit time sum exactly to inclusive_ns[0].
 struct AnalyzeStats {
   std::vector<uint64_t> calls;         // times depth k was entered
   std::vector<uint64_t> passed;        // bindings surviving depth-k filters
   std::vector<uint64_t> inclusive_ns;  // total ns spent at depth >= k
+  std::vector<uint64_t> entry_ns;      // ns entering depth k (filters)
 
   void Resize(size_t levels) {
     calls.assign(levels, 0);
     passed.assign(levels, 0);
     inclusive_ns.assign(levels, 0);
+    entry_ns.assign(levels, 0);
   }
 };
 

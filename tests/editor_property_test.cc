@@ -21,6 +21,12 @@ struct EditorParam {
   int edits;
 };
 
+// Without this, gtest names each case by the raw bytes of the struct,
+// padding included, so the test names changed from run to run.
+void PrintTo(const EditorParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << ",edits=" << p.edits;
+}
+
 class EditorPropertyTest : public testing::TestWithParam<EditorParam> {};
 
 TEST_P(EditorPropertyTest, HierarchyInvariantsSurviveRandomEditing) {

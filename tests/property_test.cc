@@ -79,6 +79,13 @@ struct OrderingParam {
   int ops;
 };
 
+// Names each case by its fields, not by the struct's raw bytes (see
+// CodecParam below).
+void PrintTo(const OrderingParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << ",parents=" << p.n_parents
+      << ",children=" << p.n_children << ",ops=" << p.ops;
+}
+
 class OrderingPropertyTest : public testing::TestWithParam<OrderingParam> {};
 
 TEST_P(OrderingPropertyTest, ModelEquivalenceUnderRandomOps) {

@@ -237,6 +237,78 @@ TEST_F(QuelPlannerTest, PlanBindsOrderingInsideOrAndNot) {
   EXPECT_EQ(plan->order_handles.size(), 2u);
 }
 
+TEST_F(QuelPlannerTest, PlanDrivesLoopsThroughOrderings) {
+  using Span = er::Database::OrderedSpan;
+  std::map<std::string, std::string> ranges = {
+      {"n", "NOTE"}, {"n1", "NOTE"}, {"n2", "NOTE"}, {"s", "SECTION"}};
+  auto plan_of = [&](const std::string& query, bool pushdown) {
+    auto stmts = ParseQuel(query);
+    EXPECT_TRUE(stmts.ok()) << stmts.status().ToString();
+    auto plan = PlanQuery(&db_, ranges, (*stmts)[0], pushdown);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return *std::move(plan);
+  };
+  struct Case {
+    const char* query;
+    const char* anchor;
+    Span span;
+  };
+  // The bound operand may sit on either side of before/after.
+  for (const Case& c : {
+           Case{"retrieve (n.name) where n under s in sec_tree "
+                "and s.name = 1",
+                "s", Span::kDescendants},
+           Case{"retrieve (n1.name) where n1 before n2 in note_in_chord "
+                "and n2.name = 30",
+                "n2", Span::kBefore},
+           Case{"retrieve (n1.name) where n1 after n2 in note_in_chord "
+                "and n2.name = 10",
+                "n2", Span::kAfter},
+           Case{"retrieve (n1.name) where n2 before n1 in note_in_chord "
+                "and n2.name = 10",
+                "n2", Span::kAfter},
+           Case{"retrieve (n1.name) where n2 after n1 in note_in_chord "
+                "and n2.name = 30",
+                "n2", Span::kBefore},
+       }) {
+    SCOPED_TRACE(c.query);
+    Plan plan = plan_of(c.query, /*pushdown=*/true);
+    ASSERT_EQ(plan.vars.size(), 2u);
+    EXPECT_EQ(plan.vars[0].name, c.anchor);
+    EXPECT_EQ(plan.vars[0].ordering, nullptr);
+    const PlannedVar& inner = plan.vars[1];
+    ASSERT_NE(inner.ordering, nullptr);
+    EXPECT_EQ(inner.ordering_anchor, c.anchor);
+    EXPECT_EQ(inner.ordering_span, c.span);
+    EXPECT_EQ(inner.ordering_handle, plan.order_handles.at(inner.ordering));
+    // The driving conjunct stays a filter of the inner loop.
+    bool filtered = false;
+    for (const PlannedConjunct& pc : plan.conjuncts)
+      filtered |= pc.qual == inner.ordering && pc.depth == 2;
+    EXPECT_TRUE(filtered);
+    // The naive plan is the filter-only baseline.
+    for (const PlannedVar& v : plan_of(c.query, /*pushdown=*/false).vars)
+      EXPECT_EQ(v.ordering, nullptr);
+  }
+  // Ancestors are never enumerated: with n bound first, s scans.
+  Plan up = plan_of(
+      "retrieve (s.name) where n under s in sec_tree and n.name = 100",
+      true);
+  ASSERT_EQ(up.vars.size(), 2u);
+  EXPECT_EQ(up.vars[1].name, "s");
+  EXPECT_EQ(up.vars[1].ordering, nullptr);
+  // An attribute index wins over an ordering.
+  ASSERT_TRUE(db_.DefineIndex({"note_name", "NOTE", "name"}).ok());
+  Plan both = plan_of(
+      "retrieve (n.name) where n under s in sec_tree and s.name = 1 "
+      "and n.name = 100",
+      true);
+  ASSERT_EQ(both.vars.size(), 2u);
+  EXPECT_EQ(both.vars[1].name, "n");
+  EXPECT_NE(both.vars[1].index, nullptr);
+  EXPECT_EQ(both.vars[1].ordering, nullptr);
+}
+
 TEST_F(QuelPlannerTest, PlanErrors) {
   Connection conn = Connection::Local(&db_);
   // Unknown ordering: rejected at plan time, before any row is read.
@@ -283,7 +355,8 @@ TEST_F(QuelPlannerTest, ExplainGolden) {
             "  ordering index: on\n"
             "  loop 1: n2 is NOTE (~7 rows)\n"
             "    filter: n2.name = 30\n"
-            "  loop 2: n1 is NOTE (~7 rows)\n"
+            "  loop 2: n1 is NOTE (~7 rows) via ordering note_in_chord "
+            "(siblings before n2)\n"
             "    filter: n1 before n2 in note_in_chord [rank index]\n"
             "  emit: n1.name\n");
   EXPECT_TRUE(rs->rows.empty());
@@ -303,7 +376,8 @@ TEST_F(QuelPlannerTest, ExplainUnderShowsIntervalIndexAndAblation) {
             "  ordering index: on\n"
             "  loop 1: s is SECTION (~2 rows)\n"
             "    filter: s.name = 1\n"
-            "  loop 2: n is NOTE (~7 rows)\n"
+            "  loop 2: n is NOTE (~7 rows) via ordering sec_tree "
+            "(descendants of s)\n"
             "    filter: n under s in sec_tree [interval index]\n"
             "  emit: count(n)\n");
   db_.EnableOrderingIndex(false);
@@ -356,8 +430,8 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
       where n1 before n2 in note_in_chord and n2.name = 30
   )");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
-  // 7 notes scanned per loop; n2.name = 30 passes once, and two notes
-  // (10, 20) precede note 30 in its chord.
+  // n2 scans all 7 notes and n2.name = 30 passes once; n1 visits only
+  // the two notes (10, 20) that precede note 30 in its chord.
   EXPECT_EQ(ScrubTimes(rs->ToString()),
             "plan: retrieve (analyze)\n"
             "  pushdown: on\n"
@@ -365,12 +439,32 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeGolden) {
             "  loop 1: n2 is NOTE (~7 rows) [actual: in=7 out=1, "
             "self=Xns]\n"
             "    filter: n2.name = 30\n"
-            "  loop 2: n1 is NOTE (~7 rows) [actual: in=7 out=2, "
-            "self=Xns]\n"
+            "  loop 2: n1 is NOTE (~7 rows) via ordering note_in_chord "
+            "(siblings before n2) [actual: in=2 out=2, self=Xns]\n"
             "    filter: n1 before n2 in note_in_chord [rank index]\n"
             "  emit: n1.name [actual: rows=2, time=Xns]\n"
             "  actual: join=Xns, statement=Xns\n");
   EXPECT_TRUE(rs->rows.empty());
+  // The filter-only ablation plan scans every NOTE in both loops and
+  // tests both conjuncts on all 49 pairs.
+  auto naive = conn.local_session()->ExecuteNaive(R"(
+    range of n1, n2 is NOTE
+    explain analyze retrieve (n1.name)
+      where n1 before n2 in note_in_chord and n2.name = 30
+  )");
+  ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+  EXPECT_EQ(ScrubTimes(naive->ToString()),
+            "plan: retrieve (analyze)\n"
+            "  pushdown: off\n"
+            "  ordering index: on\n"
+            "  loop 1: n1 is NOTE (~7 rows) [actual: in=7 out=7, "
+            "self=Xns]\n"
+            "  loop 2: n2 is NOTE (~7 rows) [actual: in=49 out=2, "
+            "self=Xns]\n"
+            "    filter: n1 before n2 in note_in_chord [rank index]\n"
+            "    filter: n2.name = 30\n"
+            "  emit: n1.name [actual: rows=2, time=Xns]\n"
+            "  actual: join=Xns, statement=Xns\n");
 }
 
 TEST_F(QuelPlannerTest, ExplainAnalyzeExecutesForReal) {
@@ -406,9 +500,10 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeTimesSumToStatement) {
   )");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   const std::string text = rs->ToString();
-  // Per-loop actual row counts: both loops scan all 10k notes once.
+  // Per-loop actual row counts: b2 scans all 10k notes once; b1 visits
+  // only the 50 notes before note 50 in its chord.
   EXPECT_NE(text.find("in=10000 out=1,"), std::string::npos) << text;
-  EXPECT_NE(text.find("in=10000 out=50,"), std::string::npos) << text;
+  EXPECT_NE(text.find("in=50 out=50,"), std::string::npos) << text;
   // The per-loop self times plus the emit time reconstruct the join
   // total exactly, and the join dominates the reported statement
   // latency (within 10%) on a database this size.
@@ -421,6 +516,47 @@ TEST_F(QuelPlannerTest, ExplainAnalyzeTimesSumToStatement) {
   EXPECT_EQ(self1 + self2 + emit_ns, join_ns) << text;
   EXPECT_LE(join_ns, statement_ns) << text;
   EXPECT_GE(join_ns * 10, statement_ns * 9) << text;
+}
+
+TEST_F(QuelPlannerTest, ExplainAnalyzeChargesFiltersToTheirLoop) {
+  // The ExplainAnalyzeTimesSumToStatement fixture: 100 chords of 100.
+  ASSERT_TRUE(ddl::ExecuteDdl(R"(
+    define entity BIGCHORD (name = integer)
+    define entity BIGNOTE (name = integer)
+    define ordering big_note_in_chord (BIGNOTE) under BIGCHORD
+  )",
+                              &db_)
+                  .ok());
+  int note_name = 0;
+  for (int c = 1; c <= 100; ++c) {
+    EntityId chord = Create("BIGCHORD", c);
+    for (int n = 0; n < 100; ++n)
+      AddChild("big_note_in_chord", "BIGNOTE", chord, note_name++);
+  }
+  Connection conn = Connection::Local(&db_);
+  // Inside an OR the before check is no top-level conjunct, so it
+  // cannot drive b1's loop: the filter-only plan, where b1 scans all
+  // 10^4 notes and tests `before` on each.
+  auto rs = conn.Execute(R"(
+    range of b1, b2 is BIGNOTE
+    explain analyze retrieve (b1.name)
+      where (b1 before b2 in big_note_in_chord or b1.name < 0)
+        and b2.name = 50
+  )");
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  const std::string text = rs->ToString();
+  ASSERT_NE(text.find("loop 2: b1 is BIGNOTE (~10000 rows) [actual: "
+                      "in=10000 out=50,"),
+            std::string::npos)
+      << text;
+  std::string rest = text.substr(text.find("self=") + 5);
+  uint64_t self2 = ExtractNs(rest, "self=");
+  uint64_t emit_ns = ExtractNs(text, "time=");
+  // The 10^4 before checks are printed under loop 2 and charged to it;
+  // emit only builds 50 rows.
+  EXPECT_GT(self2, 20 * emit_ns) << text;
+  uint64_t self1 = ExtractNs(text, "self=");
+  EXPECT_EQ(self1 + self2 + emit_ns, ExtractNs(text, "join=")) << text;
 }
 
 // ----------------------------------------------------------------------
@@ -471,8 +607,9 @@ TEST_F(QuelPlannerTest, ExecStatsAndParseCache) {
   const ExecStats after_first = conn.local_stats();
   EXPECT_EQ(after_first.statements, 2u);  // range + retrieve
   EXPECT_EQ(after_first.plan_cache_hits, 0u);
-  // n2 loops over all 7 notes; n1 only under the surviving binding.
-  EXPECT_EQ(after_first.rows_scanned, 14u);
+  // n2 loops over all 7 notes; n1 only over the two siblings before
+  // the surviving binding.
+  EXPECT_EQ(after_first.rows_scanned, 9u);
   EXPECT_GT(after_first.conjuncts_evaluated, 0u);
 
   auto second = conn.Execute(query);
@@ -490,6 +627,12 @@ TEST_F(QuelPlannerTest, ExecStatsAndParseCache) {
             "statements: 0\nrows scanned: 0\nconjuncts evaluated: 0\n"
             "ordering index hits: 0\nordering index misses: 0\n"
             "plan cache hits: 0\n");
+  // The filter-only ablation plan scans the full n1 x n2 product:
+  // 7 + 49 rows, for the same answer.
+  auto naive = conn.local_session()->ExecuteNaive(query);
+  ASSERT_TRUE(naive.ok());
+  EXPECT_EQ(Ints(*naive), Ints(*first));
+  EXPECT_EQ(conn.local_stats().rows_scanned, 56u);
 }
 
 TEST_F(QuelPlannerTest, ResetStatsKeepsParseCache) {
